@@ -6,7 +6,7 @@ angles numerically, and measure the geodesic data of the football
 decomposition.
 """
 
-from . import cli, families, forms, geodesics, metric
+from . import families, forms, geodesics, metric
 from .errors import ConeMetricError
 from .families import (
     AngleTriple,
@@ -39,7 +39,6 @@ from .geodesics import (
     GeodesicPath,
     TriangleReport,
     decomposition_report,
-    geodesic_between,
     path_length,
     radial_length,
     spherical_angle,
@@ -63,11 +62,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AngleTriple", "Branch", "CharacterForm", "ConeMetricError", "DensityField",
     "GeodesicPath", "HeartParams", "INFINITY", "MetricParams", "PoleSpec",
-    "ThreeFootballParams", "TriangleReport", "cli", "coefficient_at",
+    "ThreeFootballParams", "TriangleReport", "coefficient_at",
     "coefficient_derivative_at", "cone_angle_estimate", "constraint_residual",
     "decomposition_report", "density_at", "density_via_developing",
     "developing_modulus", "families", "finite_zeros", "forms",
-    "gauss_curvature_fd", "geodesic_between", "geodesics", "heart_apex_image",
+    "gauss_curvature_fd", "geodesics", "heart_apex_image",
     "heart_form", "heart_metric", "make_form", "make_three_football", "metric",
     "path_length", "phi_at", "phi_gradient_check", "potential_at",
     "radial_length", "residue_at_infinity", "solve_pole_positions",

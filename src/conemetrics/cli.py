@@ -79,21 +79,16 @@ class RunConfig:
     def metric_params(self) -> MetricParams:
         """Build the metric for this configuration.
 
-        Pole overrides bypass the solver so that deliberately corrupted
-        triples can still be assembled and then caught by ``verify``.
+        Pole overrides replace the solved positions so that deliberately
+        corrupted triples can still be assembled and then caught by ``verify``.
         """
         if self.family == "heart":
             return families.heart_metric(self.heart)
-        if self.p_alpha_override is None and self.p_gamma_override is None:
-            p_alpha, p_gamma = families.solve_pole_positions(
-                self.angles, self.p_beta, self.branch)
-        else:
-            p_alpha, p_gamma = families.solve_pole_positions(
-                self.angles, self.p_beta, self.branch)
-            if self.p_alpha_override is not None:
-                p_alpha = self.p_alpha_override
-            if self.p_gamma_override is not None:
-                p_gamma = self.p_gamma_override
+        p_alpha, p_gamma = families.solve_pole_positions(self.angles, self.p_beta, self.branch)
+        if self.p_alpha_override is not None:
+            p_alpha = self.p_alpha_override
+        if self.p_gamma_override is not None:
+            p_gamma = self.p_gamma_override
         form = forms.make_form([
             (self.p_beta, -self.angles.beta),
             (p_alpha, self.angles.alpha + self.angles.beta),
@@ -466,10 +461,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the long options that take no value
+_SWITCHES = ("--special", "--help")
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--flag -value`` as ``--flag=-value``.
+
+    argparse reads a token that starts with '-' as an option unless it looks
+    like a plain negative number, so grids such as ``-3,3,-3,3,61,61`` and
+    complex literals such as ``-0.5+0.2i`` would be rejected after a space.
+    No value starts with ``--``.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and "=" not in prev and prev not in _SWITCHES
+                and token.startswith("-") and not token.startswith("--")):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

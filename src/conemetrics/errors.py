@@ -82,15 +82,7 @@ class TraceDiverged(ConeMetricError):
 
 
 class EndpointNotReached(ConeMetricError):
-    """A traced or shot path stopped before reaching its target point."""
-
-
-class ShootingFailed(ConeMetricError):
-    """No launch angle bracketed the target during geodesic shooting."""
-
-
-class StepNearPole(ConeMetricError):
-    """Geodesic integration stepped inside the guard radius of a pole."""
+    """A traced path, or every lifted arc, stopped before reaching its target point."""
 
 
 class DegenerateTriangle(ConeMetricError):

@@ -44,14 +44,6 @@ class _Infinity:
 #: the distinguished point at infinity; compare with ``z is INFINITY``
 INFINITY = _Infinity()
 
-# an ExtendedComplex value is either a finite ``complex`` or INFINITY
-ExtendedComplex = "complex | _Infinity"
-
-
-def is_infinite(z) -> bool:
-    return z is INFINITY
-
-
 def _as_finite_complex(z) -> complex:
     """Coerce to a finite complex number, rejecting INFINITY and non-finite parts."""
     if z is INFINITY:

@@ -8,35 +8,30 @@ arg F is constant and the length collapses to the closed form
 
     L(a, b) = 2 | arctan |F(b)| - arctan |F(a)| |.
 
-Everything else (notably the 0-to-1 geodesic of the three-football
-family) is computed by shooting the geodesic flow of the conformal
-density.  Cone points are honest metric points but the flow degenerates
-there, so paths launch from small chart offsets and the missing
-cone-approach stubs are integrated radially and added back; the stubs are
-recorded on the returned path so the sampled polyline and the total
-length can be reconciled exactly.
+The 0-to-1 side of the three-football family is closed-form as well: F(0),
+F(1) and infinity span a spherical triangle whose angle at infinity is the
+developing phase of the path class, so the side follows from the law of
+cosines.  Numerical tracing is left to deciding which path classes are
+realized (their developed arc lifts back to the chart without meeting a
+cone) and to the radial traces drawn by ``plot`` and checked by ``verify``.
+Cone points are honest metric points but the flow degenerates there, so
+traces launch from small chart offsets and the missing cone-approach stubs
+are integrated radially and added back.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from . import metric as metric_mod
-from .errors import (
-    DegenerateTriangle,
-    EndpointNotReached,
-    EvalAtPole,
-    ShootingFailed,
-    StepNearPole,
-    TraceDiverged,
-)
+from .errors import DegenerateTriangle, EndpointNotReached, EvalAtPole, TraceDiverged
 from .families import ThreeFootballParams, three_football_metric
 from .forms import INFINITY, coefficient_at, coefficient_derivative_at
 from .metric import MetricParams, density_at, developing_modulus
@@ -48,6 +43,9 @@ LAUNCH_OFFSET = 1e-4
 #: hands over to the analytic cone stub (also bounds the endpoint defect)
 ARRIVAL_RADIUS = 5e-7
 
+#: chart radius of the ball around 1 that a lifted 0-1 arc must enter
+ARC_ARRIVAL_RADIUS = 1e-2
+
 
 @dataclass
 class GeodesicPath:
@@ -58,17 +56,13 @@ class GeodesicPath:
     ``path_length`` over ``samples`` recovers ``length - sum(stub_lengths)``
     up to quadrature error.  ``endpoint_defect`` is the chart distance from
     the last sample to the requested target (measured in the w = 1/z chart
-    when the target is INFINITY).  Shot paths also record their converged
-    ``launch_angle`` so later solves nearby can warm-start.
+    when the target is INFINITY).
     """
 
     samples: list[complex]
     length: float
     endpoint_defect: float
     stub_lengths: tuple[float, float] = (0.0, 0.0)
-    launch_angle: float | None = None
-    source_ray: complex | None = None
-    target_ray: complex | None = None
 
     def to_json(self) -> str:
         return json.dumps({
@@ -316,25 +310,29 @@ def _lift_to_sphere(w: complex) -> tuple[float, float, float]:
 
 
 def _arc_preimage(params: MetricParams, z0: complex, phi: float,
-                  mod_target: float, stop_center: complex,
-                  stop_radius: float, rtol: float = 1e-10):
-    """Trace the preimage of the great-circle arc from F(z0) to mod_target e^{i phi}.
+                  mod_target: float, stop_center: complex, stop_radius: float):
+    """Lift the great-circle arc from F(z0) to mod_target e^{i phi} back to the chart.
 
     The starting branch is fixed by taking F(z0) positive real; the arc is
     the minor great circle between the two developed images and its preimage
-    obeys dz/ds = (w'/w) / f(z).  Integration stops when z enters the
-    ``stop_radius`` ball around ``stop_center``.  Returns
-    ``(omega, s_end, z_end, reached, sol)`` with ``omega`` the full arc
-    angle (so the traced metric length is ``s_end * omega``), or None when
-    the arc is degenerate or the trace fails.
+    obeys dz/ds = (w'/w) / f(z).  When |F(z0)| > 1 the arc of 1/F is lifted
+    instead (phase -phi, right-hand side negated): w -> 1/w is a rotation of
+    the sphere, so it is the same curve, while near infinity the projection
+    factor 1 - w_z would cancel most of its digits.  Integration stops when
+    z enters the ``stop_radius`` ball around ``stop_center``.  Returns
+    ``(s_end, sol)``, the arc parameter at arrival and the dense solution
+    of the trace, or None when the arc is degenerate or its preimage never
+    reaches the ball.
     """
     form = params.form
-    w_a = complex(developing_modulus(params, z0), 0.0)
-    w_b = mod_target * cmath.exp(1j * phi)
-    ax, ay, az = _lift_to_sphere(w_a)
-    bx, by, bz = _lift_to_sphere(w_b)
-    dot = max(-1.0, min(1.0, ax * bx + ay * by + az * bz))
-    omega = math.acos(dot)
+    mod_start = developing_modulus(params, z0)
+    sign = 1.0
+    if mod_start > 1.0:
+        mod_start, mod_target, phi, sign = 1.0 / mod_start, 1.0 / mod_target, -phi, -1.0
+    ax, ay, az = a = _lift_to_sphere(complex(mod_start, 0.0))
+    bx, by, bz = b = _lift_to_sphere(mod_target * cmath.exp(1j * phi))
+    # the chord keeps every digit of the tiny arcs that acos would lose
+    omega = 2.0 * math.asin(min(1.0, 0.5 * math.dist(a, b)))
     if omega < 1e-12 or omega > math.pi - 1e-9:
         return None
     sin_omega = math.sin(omega)
@@ -356,7 +354,7 @@ def _arc_preimage(params: MetricParams, z0: complex, phi: float,
 
     def rhs(s, y):
         z = complex(y[0], y[1])
-        v = log_derivative(s) / coefficient_at(form, z)
+        v = log_derivative(s) / (sign * coefficient_at(form, z))
         return [v.real, v.imag]
 
     def reached(s, y):
@@ -376,358 +374,15 @@ def _arc_preimage(params: MetricParams, z0: complex, phi: float,
     near_pole.terminal = True
 
     try:
-        launch = rhs(0.0, [z0.real, z0.imag])
         sol = solve_ivp(rhs, (0.0, 1.0), [z0.real, z0.imag],
                         method="DOP853", dense_output=True,
                         events=[reached, escaped, near_pole],
-                        rtol=rtol, atol=1e-13)
-    except (EvalAtPole, ZeroDivisionError):
-        return None
-    if not sol.success or len(sol.t_events[1]) or len(sol.t_events[2]):
-        return None
-    launch_angle = math.atan2(launch[1], launch[0])
-    if len(sol.t_events[0]):
-        s_end = float(sol.t_events[0][0])
-        state = sol.sol(s_end)
-        return omega, s_end, complex(state[0], state[1]), True, sol, launch_angle
-    s_end = float(sol.t[-1])
-    return omega, s_end, complex(sol.y[0][-1], sol.y[1][-1]), False, sol, launch_angle
-
-
-def _arc_candidates(params: MetricParams, z0: complex, target: complex,
-                    stop_radius: float, n_scan: int = 96):
-    """Scan the relative developing phase for arcs whose preimage reaches the target.
-
-    Returns a list of ``(length, phi, z_stop, launch_angle)`` sorted by the
-    traced metric length (arc angle times the reached fraction), shortest
-    first.  The launch angle is the chart direction of the preimage at z0.
-    """
-    mod_target = developing_modulus(params, target)
-
-    def closest_miss(out):
-        if out is None:
-            return math.inf
-        omega, s_end, z_end, reached, sol, launch = out
-        if reached:
-            return 0.0
-        grid = np.linspace(0.0, s_end, 160)
-        states = sol.sol(grid)
-        return float(np.min(np.hypot(states[0] - target.real, states[1] - target.imag)))
-
-    def probe(phi: float):
-        out = _arc_preimage(params, z0, phi, mod_target, target, stop_radius,
-                            rtol=1e-8)
-        return out, closest_miss(out)
-
-    scanned = []
-    for k in range(n_scan):
-        phi = -math.pi + 2.0 * math.pi * k / n_scan
-        out = _arc_preimage(params, z0, phi, mod_target, target, stop_radius,
-                            rtol=1e-6)
-        scanned.append((phi, out, closest_miss(out)))
-
-    candidates = []
-    seen_phis: list[float] = []
-    order = sorted(range(n_scan), key=lambda k: scanned[k][2])
-    for k in order:
-        if len(seen_phis) >= 3:
-            break
-        phi, out, miss = scanned[k]
-        if not (miss < 0.4):
-            break
-        if any(abs(phi - p) < 2.5 * math.pi / n_scan for p in seen_phis):
-            continue
-        seen_phis.append(phi)
-        # golden-section refinement of the closest approach in phase
-        lo = phi - 2.0 * math.pi / n_scan
-        hi = phi + 2.0 * math.pi / n_scan
-        g = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - g * (hi - lo)
-        x2 = lo + g * (hi - lo)
-        o1, f1 = probe(x1)
-        o2, f2 = probe(x2)
-        best = (phi, out, miss)
-        for _ in range(40):
-            if f1 <= f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - g * (hi - lo)
-                o1, f1 = probe(x1)
-                trial = (x1, o1, f1)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + g * (hi - lo)
-                o2, f2 = probe(x2)
-                trial = (x2, o2, f2)
-            if trial[2] < best[2]:
-                best = trial
-            if best[2] == 0.0:
-                break
-        phi_b, out_b, miss_b = best
-        if miss_b > 0.0 or out_b is None:
-            continue
-        omega, s_end, z_stop, reached, sol, launch = out_b
-        candidates.append((omega * s_end, phi_b, z_stop, launch, sol, s_end))
-    candidates.sort(key=lambda c: c[0])
-    return candidates
-
-
-# ---------------------------------------------------------------------------
-# geodesic shooting between regular points
-
-def _geodesic_rhs(params: MetricParams):
-    form = params.form
-
-    def rhs(u, y):
-        z = complex(y[0], y[1])
-        psi = y[2]
-        d = cmath.exp(1j * psi)
-        g = metric_mod.log_density_gradient(params, z)
-        lam = math.sqrt(density_at(params, z))
-        turn = -2.0 * (g * d).imag
-        return [d.real, d.imag, turn, lam]
-
-    return rhs
-
-
-def _shoot_once(params: MetricParams, z0: complex, z1: complex, theta: float,
-                u_max: float, rtol: float):
-    """Integrate one launch angle up to the section through the target.
-
-    The section is the line through ``z1`` perpendicular to ``z1 - z0``; the
-    signed miss is the transverse offset at the first crossing, which stays
-    continuous in the launch angle (a closest-approach miss would jump
-    whenever the nearest lobe of the curve switches).  Returns
-    ``(signed miss, u_cross, solution)`` or None when the path never crosses.
-    """
-    rhs = _geodesic_rhs(params)
-    positions = params.form.positions
-    w_hat = (z1 - z0) / abs(z1 - z0)
-
-    def section(u, y):
-        return ((complex(y[0], y[1]) - z1) * w_hat.conjugate()).real
-
-    section.terminal = True
-    section.direction = 1.0
-
-    def escaped(u, y):
-        return 12.0 * max(1.0, abs(z1 - z0)) - math.hypot(y[0], y[1])
-
-    escaped.terminal = True
-
-    def near_pole(u, y):
-        z = complex(y[0], y[1])
-        return min(abs(z - p) for p in positions) - 1e-9
-
-    near_pole.terminal = True
-
-    try:
-        sol = solve_ivp(rhs, (0.0, u_max), [z0.real, z0.imag, theta, 0.0],
-                        method="DOP853", dense_output=True,
-                        events=[section, escaped, near_pole],
-                        rtol=rtol, atol=rtol * 1e-2)
+                        rtol=1e-10, atol=1e-13)
     except (EvalAtPole, ZeroDivisionError):
         return None
     if not sol.success or not len(sol.t_events[0]):
         return None
-
-    u_star = sol.t_events[0][0]
-    s = sol.sol(u_star)
-    miss = ((complex(s[0], s[1]) - z1) * w_hat.conjugate()).imag
-    return miss, u_star, sol
-
-
-def _resolve_candidate(params: MetricParams, z0: complex, z1: complex,
-                       th_valid: float, m_valid: float, th_other,
-                       m_other, u_cap: float, defect_tol: float, record):
-    """Polish one candidate angle interval down to a converged launch angle.
-
-    ``th_other`` may carry an opposite-sign miss (plain Brent bracket) or a
-    censored probe (the curve never crossed the section, encoded as
-    ``m_other is None``); censored intervals are shrunk by bisection until a
-    sign change appears or the valid-side miss drops inside the tolerance.
-    Every evaluated miss is passed to ``record`` so the caller can learn the
-    best approach even from a failed candidate.  Returns the converged angle
-    or None.
-    """
-
-    def miss_of(theta: float):
-        out = _shoot_once(params, z0, z1, theta, u_cap, rtol=1e-8)
-        if out is None:
-            return None
-        record(theta, out[0], float(out[2].sol(out[1])[2]))
-        return out[0]
-
-    def brent_root(th_a: float, th_b: float, censored_sign: float):
-        # censored angles inside the bracket count as a huge miss of the
-        # given sign, pushing Brent back toward the resolvable side
-        def f(t: float) -> float:
-            m = miss_of(t)
-            return m if m is not None else math.copysign(1e3, censored_sign)
-
-        try:
-            return brentq(f, th_a, th_b, xtol=1e-13)
-        except ValueError:
-            return None
-
-    # probe misses carry loose-tolerance noise; re-evaluate the endpoints at
-    # the resolve tolerance before trusting their signs
-    m_valid = miss_of(th_valid)
-    if m_valid is None:
-        return None
-    if m_other is not None:
-        m_other = miss_of(th_other)
-
-    if abs(m_valid) <= 0.25 * defect_tol:
-        return th_valid
-
-    if m_other is not None and m_valid * m_other < 0.0:
-        return brent_root(th_valid, th_other, m_other)
-    if m_other is not None and abs(m_other) <= 0.25 * defect_tol:
-        return th_other
-
-    lo, m_lo = th_valid, m_valid
-    hi = th_other
-    for _ in range(48):
-        if abs(m_lo) <= 0.25 * defect_tol:
-            return lo
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        m_mid = miss_of(mid)
-        if m_mid is None:
-            hi = mid
-        elif m_mid * m_lo < 0.0:
-            return brent_root(lo, mid, m_mid)
-        else:
-            lo, m_lo = mid, m_mid
-    return lo if abs(m_lo) <= defect_tol else None
-
-
-def geodesic_between(params: MetricParams, z0, z1, defect_tol: float = 1e-6,
-                     n: int = 512, probe_count: int = 64,
-                     theta_hint: float | None = None) -> GeodesicPath:
-    """Shoot the unit-speed geodesic from z0 to z1 in the conformal metric.
-
-    The flow integrates z'' = -2 (d log lambda / dz) z'^2 in chart-arclength
-    form.  Launch angles are probed at ``probe_count`` equispaced directions
-    and each sign change of the signed section miss is polished by Brent's
-    method; probes whose curve never crosses the section (captured by a cone
-    or wandering off) are treated as censored and their boundary intervals
-    are shrunk by bisection, which handles strong lensing near 4 pi cones.
-    Among the converged angles the metrically shortest path wins.  A
-    ``theta_hint`` from a nearby solve restricts probing to a small window
-    around it.  Endpoints must be regular points (cone points are approached
-    via offset points plus stubs by the callers).
-
-    When no launch angle converges the raised :class:`ShootingFailed` carries
-    ``best_theta`` and ``best_crossing`` (the nearest section crossing seen),
-    letting callers re-aim their target offset along the actual approach
-    direction of the limiting geodesic.
-    """
-    z0 = complex(z0)
-    z1 = complex(z1)
-    u_max = 12.0 * max(1.0, abs(z1 - z0))
-    window = 0.75 * abs(z1 - z0)
-    w_hat = (z1 - z0) / abs(z1 - z0)
-
-    best_seen: list = [math.inf, None, None]  # signed miss, theta, arrival tangent
-
-    def record(theta: float, m: float, psi: float) -> None:
-        if abs(m) < abs(best_seen[0]):
-            best_seen[0] = m
-            best_seen[1] = theta
-            best_seen[2] = psi
-
-    if theta_hint is not None:
-        angles = [theta_hint + d for d in np.linspace(-0.08, 0.08, 9)]
-    else:
-        angles = [2.0 * math.pi * j / probe_count for j in range(probe_count)]
-    probes = []
-    for theta in angles:
-        out = _shoot_once(params, z0, z1, theta, u_max, rtol=1e-5)
-        if out is None:
-            probes.append((theta, None, None))
-        else:
-            record(theta, out[0], float(out[2].sol(out[1])[2]))
-            probes.append((theta, out[0], out[1]))
-
-    def fail(message: str) -> ShootingFailed:
-        exc = ShootingFailed(message)
-        exc.best_theta = best_seen[1]
-        exc.best_crossing = (None if best_seen[1] is None
-                             else z1 + 1j * best_seen[0] * w_hat)
-        exc.best_arrival = best_seen[2]
-        return exc
-
-    # candidate intervals around every promising probe, nearest-miss first
-    candidates = []
-    count = len(probes)
-    wraps = count if theta_hint is None else count - 1
-    for j in range(wraps):
-        th0, m0, u0 = probes[j]
-        k = (j + 1) % count
-        th1, m1, u1 = probes[k]
-        if k == 0:
-            th1 += 2.0 * math.pi
-        if m0 is None and m1 is None:
-            continue
-        if m0 is not None and m1 is not None:
-            # plain bracket: keep only genuine sign changes within the window
-            if m0 != 0.0 and m0 * m1 > 0.0:
-                continue
-            if min(abs(m0), abs(m1)) > window:
-                continue
-            u_ref = max(u0, u1)
-            if abs(m0) <= abs(m1):
-                candidates.append((abs(m0), th0, m0, th1, m1, u_ref))
-            else:
-                candidates.append((abs(m1), th1, m1, th0, m0, u_ref))
-        else:
-            # censored boundary: the crossing family ends inside this interval
-            if m0 is not None:
-                th_v, m_v, th_o, u_ref = th0, m0, th1, u0
-            else:
-                th_v, m_v, th_o, u_ref = th1, m1, th0, u1
-            if abs(m_v) > window:
-                continue
-            candidates.append((abs(m_v), th_v, m_v, th_o, None, u_ref))
-    if not candidates:
-        raise fail(f"no launch angle from {z0} crosses the section at {z1}")
-
-    best = None
-    tried = 0
-    for _, th_v, m_v, th_o, m_o, u_ref in sorted(candidates, key=lambda c: c[0]):
-        if tried >= 4:
-            break
-        tried += 1
-        u_cap = min(u_max, 2.0 * u_ref + 1.0)
-        try:
-            theta_star = _resolve_candidate(params, z0, z1, th_v, m_v, th_o, m_o,
-                                            u_cap, defect_tol, record)
-        except StepNearPole:
-            continue
-        if theta_star is None:
-            continue
-        final = _shoot_once(params, z0, z1, theta_star, u_cap, rtol=1e-11)
-        if final is None:
-            continue
-        signed, u_star, sol = final
-        record(theta_star, signed, float(sol.sol(u_star)[2]))
-        if abs(signed) > defect_tol:
-            continue
-        length = float(sol.sol(u_star)[3])
-        if best is None or length < best[0]:
-            best = (length, u_star, sol, abs(signed), theta_star)
-    if best is None:
-        raise fail(
-            f"no bracket from {z0} converged within the defect tolerance {defect_tol:.2e}")
-
-    length, u_star, sol, defect, theta_star = best
-    grid = np.linspace(0.0, u_star, n + 1)
-    states = sol.sol(grid)
-    samples = [complex(x, y) for x, y in zip(states[0], states[1])]
-    return GeodesicPath(samples=samples, length=length, endpoint_defect=defect,
-                        launch_angle=theta_star)
+    return float(sol.t_events[0][0]), sol.sol
 
 
 # ---------------------------------------------------------------------------
@@ -758,109 +413,61 @@ def spherical_angle(a_opposite: float, b: float, c: float) -> float:
     return math.acos(arg)
 
 
-def l01_geodesic(params: ThreeFootballParams, defect_tol: float = 1e-6,
-                 hint: GeodesicPath | None = None) -> GeodesicPath:
-    """The shot 0-to-1 geodesic between the launch-offset points, stubs included.
+def l01_side(params: MetricParams) -> tuple[float, float]:
+    """The 0-1 side ``L01`` and its developing phase ``phi`` in [-pi, pi].
 
-    The target offset starts on the ray toward 0 and is re-aimed along the
-    limiting approach direction whenever shooting reports that the target
-    sits in a cone shadow (a 4 pi cone is a diverging lens, so a badly
-    oriented offset ray can be unreachable even from close by).  The
-    returned path carries ``launch_angle`` and ``target_ray`` so nearby
-    solves (finite-difference sweeps over the family) can warm-start.
+    F(0), F(1) and infinity span a spherical triangle whose legs ell1, ell2
+    meet at infinity at the angle |phi|, so ``L01`` follows from the law of
+    cosines, taken in haversine form,
+
+        hav L01 = hav(ell1 - ell2) + sin ell1 sin ell2 hav phi,
+
+    because acos loses the digits of the tiny sides that occur.  A path
+    class from 0 to 1 develops with phase phi_seg + 2 pi sum_k n_k r_k,
+    where phi_seg = sum_k r_k Arg((1 - p_k) / (z0 - p_k)) is the phase along
+    the straight segment from the launch point z0 = LAUNCH_OFFSET and n_k
+    counts the turns around pole k.  Classes with every n_k in {-1, 0, 1}
+    are tried shortest first; one is realized when its developed arc lifts
+    from z0 into the ARC_ARRIVAL_RADIUS ball around 1 without meeting a
+    cone.  Raises :class:`EndpointNotReached` when none lifts.
     """
-    mp = three_football_metric(params)
-    z_nominal = complex(LAUNCH_OFFSET, 0.0)
-    # The 0 and 1 cones carry angle 4 pi, so the metric radius of a chart
-    # disc of radius r around them is O(r^2): working offsets can sit well
-    # outside the strong-lensing zone (shooting into a 1e-4 funnel corridor
-    # is hopelessly conditioned) while the ray-aligned stub assembly still
-    # only costs O(r^3) in length.
-    shot_offset = 1e-2
+    z0 = complex(LAUNCH_OFFSET, 0.0)
+    ell1, ell2 = three_football_lengths(params)
+    poles = params.form.poles
+    phi_seg = math.fsum(p.residue * cmath.phase((1.0 - p.position) / (z0 - p.position))
+                        for p in poles)
+    phases: dict[float, float] = {}  # one entry per distinct phase mod 2 pi
+    for turns in itertools.product((-1, 0, 1), repeat=len(poles)):
+        phi = math.remainder(
+            phi_seg + 2.0 * math.pi * math.fsum(n * p.residue for n, p in zip(turns, poles)),
+            2.0 * math.pi)
+        phases.setdefault(round(phi, 12), phi)
 
-    # Aim the shot with preimages of developed great-circle arcs: each arc
-    # candidate pins the departure ray at the 0 cone, the arrival ray at the
-    # 1 cone, and the launch angle, so the badly lensed global search
-    # reduces to a local polish along a clean corridor between the cones.
-    attempts: list[tuple[float | None, complex, complex]] = []
-    if (hint is not None and hint.launch_angle is not None
-            and hint.source_ray is not None and hint.target_ray is not None):
-        attempts.append((hint.launch_angle, hint.source_ray, hint.target_ray))
-    else:
-        for _, _, z_stop, _, sol, s_stop in _arc_candidates(
-                mp, z_nominal, 1.0 + 0.0j, shot_offset)[:3]:
-            # where the arc preimage last leaves the launch disc around 0:
-            # beyond it the curve runs clear of both cones
-            grid = np.linspace(0.0, s_stop, 400)
-            states = sol.sol(grid)
-            radii = np.hypot(states[0], states[1])
-            inside = radii <= shot_offset
-            k = 0
-            while k + 1 < len(grid) and inside[k + 1]:
-                k += 1
-            s_lo, s_hi = grid[k], grid[min(k + 1, len(grid) - 1)]
-            for _ in range(60):
-                s_mid = 0.5 * (s_lo + s_hi)
-                st = sol.sol(s_mid)
-                if math.hypot(st[0], st[1]) <= shot_offset:
-                    s_lo = s_mid
-                else:
-                    s_hi = s_mid
-            st = sol.sol(s_lo)
-            z_exit = complex(st[0], st[1])
-            ds = 1e-8
-            while ds < 0.01:
-                st2 = sol.sol(min(s_lo + ds, s_stop))
-                step = complex(st2[0] - st[0], st2[1] - st[1])
-                if abs(step) > 1e-4:
-                    break
-                ds *= 4.0
-            tangent = cmath.phase(step)
-            attempts.append((tangent,
-                             z_exit / abs(z_exit),
-                             (z_stop - 1.0) / abs(z_stop - 1.0)))
-        attempts.append((None, complex(1.0, 0.0), complex(-1.0, 0.0)))
+    def hav(x: float) -> float:
+        return math.sin(0.5 * x) ** 2
 
-    shot = None
-    ray0 = complex(1.0, 0.0)
-    ray1 = complex(-1.0, 0.0)
-    last_exc: ShootingFailed | None = None
-    for theta_hint, r0, r1 in attempts:
-        z0 = shot_offset * r0
-        z1 = 1.0 + shot_offset * r1
-        try:
-            shot = geodesic_between(mp, z0, z1, defect_tol=defect_tol,
-                                    theta_hint=theta_hint)
-            ray0, ray1 = r0, r1
-            break
-        except ShootingFailed as exc:
-            last_exc = exc
-    if shot is None:
-        raise last_exc if last_exc is not None else ShootingFailed("no 0-1 geodesic found")
+    def side(phi: float) -> float:
+        h = hav(ell1 - ell2) + math.sin(ell1) * math.sin(ell2) * hav(phi)
+        return 2.0 * math.asin(math.sqrt(min(1.0, h)))
 
-    stub0 = cone_approach_length(mp, 0.0, ray0, shot_offset)
-    stub1 = cone_approach_length(mp, 1.0, ray1, shot_offset)
-    return GeodesicPath(samples=shot.samples,
-                        length=stub0 + shot.length + stub1,
-                        endpoint_defect=shot.endpoint_defect,
-                        stub_lengths=(stub0, stub1),
-                        launch_angle=shot.launch_angle,
-                        source_ray=ray0,
-                        target_ray=ray1)
+    mod1 = developing_modulus(params, 1.0)
+    for length, phi in sorted((side(phi), phi) for phi in phases.values()):
+        if _arc_preimage(params, z0, phi, mod1, 1.0 + 0.0j, ARC_ARRIVAL_RADIUS) is not None:
+            return length, phi
+    raise EndpointNotReached(
+        f"no developed 0-1 arc lifts from the launch point {z0} into the "
+        f"{ARC_ARRIVAL_RADIUS:g} ball around 1")
 
 
-def decomposition_report(params: ThreeFootballParams,
-                         defect_tol: float = 1e-6,
-                         hint: GeodesicPath | None = None) -> TriangleReport:
+def decomposition_report(params: ThreeFootballParams) -> TriangleReport:
     """Measure (ell1, ell2, L(0,1), theta) for a three-football configuration.
 
-    The radial legs come from the closed form; the 0-1 side is shot between
-    offset points next to the two 4 pi cones and completed with the radial
-    stubs; theta is the angle at the vertex developing to infinity, opposite
-    the L(0,1) side.
+    The radial legs are 2 arctan of the inverse developing moduli at 1 and
+    0; the 0-1 side comes from the law of cosines in the developing phase
+    of the shortest realized path class (:func:`l01_side`), and theta, the
+    angle at the vertex developing to infinity, is that phase's modulus.
     """
     mp = three_football_metric(params)
     ell1, ell2 = three_football_lengths(mp)
-    shot = l01_geodesic(params, defect_tol=defect_tol, hint=hint)
-    theta = spherical_angle(shot.length, ell1, ell2)
-    return TriangleReport(ell1=ell1, ell2=ell2, L01=shot.length, theta=theta)
+    l01, phi = l01_side(mp)
+    return TriangleReport(ell1=ell1, ell2=ell2, L01=l01, theta=abs(phi))

@@ -24,7 +24,7 @@ from .errors import (
     QuadratureNearPole,
     StencilHitsSingularity,
 )
-from .forms import INFINITY, CharacterForm, coefficient_at, coefficient_derivative_at
+from .forms import INFINITY, CharacterForm, coefficient_at
 
 #: default finite-difference step for curvature stencils; balances O(h^2)
 #: truncation against O(ulp/h^2) rounding in double precision
@@ -132,20 +132,6 @@ def density_inverted_chart(params: MetricParams, w) -> float:
     if w == 0.0:
         raise EvalAtPole("w = 0 is the point at infinity itself")
     return density_at(params, 1.0 / w) / abs(w) ** 4
-
-
-def log_density_gradient(params: MetricParams, z) -> complex:
-    """d/dz of log lambda, the single-valued generator of the geodesic flow.
-
-    From lambda^2 = 4 u |f|^2 / (1+u)^2 with u = e^s and ds/dz = f:
-
-        d(log lambda)/dz = f/2 + f'/(2 f) - u/(1+u) * f.
-    """
-    z = complex(z)
-    f = coefficient_at(params.form, z)
-    fp = coefficient_derivative_at(params.form, z)
-    sig = _sigmoid(log_scale_at(params, z))
-    return 0.5 * f + 0.5 * fp / f - sig * f
 
 
 def _half_log_density(params: MetricParams, z) -> float:

@@ -1,0 +1,82 @@
+import json
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+import conemetrics
+from conemetrics import cli, families
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def literal(z: complex) -> str:
+    return f"{z.real!r}{'+' if z.imag >= 0.0 else '-'}{abs(z.imag)!r}i"
+
+
+def test_grid_value_may_start_with_a_dash(capsys, tmp_path):
+    spaced = tmp_path / "spaced"
+    joined = tmp_path / "joined"
+    code, _ = run(capsys, "sample", "--family", "heart", "--grid", "-3,3,-3,3,5,5",
+                  "--out", str(spaced))
+    assert code == 0
+    assert run(capsys, "sample", "--family=heart", "--grid=-3,3,-3,3,5,5",
+               f"--out={joined}")[0] == 0
+    assert (spaced / "sample.csv").read_bytes() == (joined / "sample.csv").read_bytes()
+
+
+def test_pole_values_may_start_with_a_dash(capsys, tmp_path):
+    # the solved companions at p_beta = -0.5+0.2i both have negative real
+    # parts; passing them back as overrides must reproduce the solved metric
+    p_beta = complex(-0.5, 0.2)
+    p_alpha, p_gamma = families.solve_pole_positions(
+        families.special_case_angles(), p_beta, families.Branch.MINUS)
+    assert p_alpha.real < 0.0 and p_gamma.real < 0.0
+    common = ["--family", "threefb", "--special", "--grid", "-1,1,-1,1,5,5"]
+    code, _ = run(capsys, "sample", *common, "--pbeta", literal(p_beta),
+                  "--palpha", literal(p_alpha), "--pgamma", literal(p_gamma),
+                  "--out", str(tmp_path / "spaced"))
+    assert code == 0
+    code, _ = run(capsys, "sample", *common, f"--pbeta={literal(p_beta)}",
+                  "--out", str(tmp_path / "joined"))
+    assert code == 0
+    assert ((tmp_path / "spaced" / "sample.csv").read_bytes()
+            == (tmp_path / "joined" / "sample.csv").read_bytes())
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conemetrics.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "conemetrics.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "verify" in done.stdout
+
+
+def test_verify_flags_a_corrupted_palpha_override(capsys):
+    p_beta = complex(0.3, 0.2)
+    p_alpha, _ = families.solve_pole_positions(
+        families.special_case_angles(), p_beta, families.Branch.MINUS)
+    code, out = run(capsys, "verify", "--family", "threefb", "--special",
+                    "--pbeta", literal(p_beta), "--palpha", literal(p_alpha + 1e-3))
+    assert code == 1
+    assert re.search(r"^constraint-residual: residual=\S+ tol=\S+ FAIL$", out, re.M), out
+
+
+@pytest.mark.parametrize("p_beta", ["0.3+0.2i", "0.5"])
+def test_report_exit_code_matches_payload(capsys, p_beta):
+    # the anchor p_beta = 1/2 may or may not yield a triangle; either way
+    # the exit status and the payload must agree
+    code, out = run(capsys, "report", "--family", "threefb", "--special", "--pbeta", p_beta)
+    payload = json.loads(out)
+    assert code in (0, 1)
+    assert ("error" in payload) == (code == 1)
+    if code == 0:
+        assert set(payload) == {"ell1", "ell2", "L01", "theta"}

@@ -7,6 +7,7 @@ import pytest
 from conemetrics import forms, geodesics
 from conemetrics.errors import DegenerateTriangle, TraceDiverged
 from conemetrics.families import (
+    AngleTriple,
     Branch,
     HeartParams,
     heart_apex_image,
@@ -20,15 +21,14 @@ from conemetrics.geodesics import (
     GeodesicPath,
     cone_approach_length,
     decomposition_report,
-    geodesic_between,
-    l01_geodesic,
+    l01_side,
     path_length,
     radial_length,
     spherical_angle,
     three_football_lengths,
     trace_radial_preimage,
 )
-from conemetrics.metric import MetricParams
+from conemetrics.metric import MetricParams, developing_modulus
 
 
 def round_fixture():
@@ -214,26 +214,6 @@ def test_geodesic_path_json_keys():
 
 
 # ---------------------------------------------------------------------------
-# shooting
-
-def test_geodesic_between_round_fixture():
-    mp = round_fixture()
-    path = geodesic_between(mp, 0.0, 1.0)
-    assert abs(path.length - math.pi / 2.0) <= 1e-6
-    assert path.endpoint_defect < 1e-6
-
-
-def test_geodesic_between_matches_radial_heart():
-    hp = HeartParams(0.5, 0.0)
-    mp = heart_metric(hp)
-    d = geodesics.LAUNCH_OFFSET
-    shot = geodesic_between(mp, complex(d, 0.0), complex(1.0 - d, 0.0))
-    total = (cone_approach_length(mp, 0.0, 1.0, d) + shot.length
-             + cone_approach_length(mp, 1.0, -1.0, d))
-    assert abs(total - radial_length(mp, 0.0, 1.0)) <= 1e-5
-
-
-# ---------------------------------------------------------------------------
 # spherical trigonometry
 
 def test_spherical_angle_octant():
@@ -304,17 +284,33 @@ def test_report_triangle_has_positive_excess(special_reports):
     assert t1 + t2 + t3 > math.pi
 
 
-def test_l01_agrees_with_arc_prediction():
-    # the shot length must agree with the developed-arc length of the same
-    # geodesic; the two come from unrelated integrations (the arc length is
-    # the spherical angle subtended by the developed images)
-    ang = special_case_angles()
-    tf = make_three_football(ang, 0.3 + 0.2j, Branch.MINUS, 1.0)
-    path = l01_geodesic(tf)
-    mp = three_football_metric(tf)
-    arc_length, _, z_stop, _, _, _ = geodesics._arc_candidates(
-        mp, complex(1e-4, 0.0), 1.0 + 0.0j, 1e-2)[0]
-    arc_total = (cone_approach_length(mp, 0.0, 1.0, 1e-4)
-                 + arc_length
-                 + cone_approach_length(mp, 1.0, (z_stop - 1.0) / abs(z_stop - 1.0), 1e-2))
-    assert abs(path.length - arc_total) <= 1e-6
+@pytest.mark.parametrize("angles,p_beta,branch,c_amp", [
+    pytest.param(special_case_angles(), 0.3 + 0.2j, Branch.MINUS, 1.0,
+                 id="special-0.3+0.2i"),
+    pytest.param(special_case_angles(), 0.4 + 0.1j, Branch.MINUS, 1.0,
+                 id="special-0.4+0.1i"),
+    pytest.param(AngleTriple(0.7, 0.45, 0.6), 0.4 + 0.3j, Branch.MINUS, 1.0,
+                 id="generic-0.4+0.3i"),
+    # both legs ~1e-4 and L01 ~2e-7: F(0) and F(1) sit next to infinity
+    pytest.param(AngleTriple(1.6608963350394228, 0.8796779344638384, 1.0900366542797937),
+                 complex(-1.1074095757031515, 1.1424316500515466), Branch.MINUS,
+                 0.7003547356241373, id="ill-conditioned"),
+])
+def test_l01_agrees_with_arc_prediction(angles, p_beta, branch, c_amp):
+    # the law-of-cosines side must agree with the metric length of the
+    # lifted arc itself, integrated independently along its chart samples
+    # and completed by the two radial cone stubs
+    mp = three_football_metric(make_three_football(angles, p_beta, branch, c_amp))
+    l01, phi = l01_side(mp)
+    z0 = complex(geodesics.LAUNCH_OFFSET, 0.0)
+    s_end, sol = geodesics._arc_preimage(mp, z0, phi, developing_modulus(mp, 1.0),
+                                         1.0 + 0.0j, geodesics.ARC_ARRIVAL_RADIUS)
+    xs, ys = sol(np.linspace(0.0, s_end, 20001))
+    samples = [complex(x, y) for x, y in zip(xs, ys)]
+    z_stop = samples[-1]
+    total = (cone_approach_length(mp, 0.0, 1.0, geodesics.LAUNCH_OFFSET)
+             + path_length(mp, samples)
+             + cone_approach_length(mp, 1.0, z_stop - 1.0, abs(z_stop - 1.0)))
+    assert abs(total - l01) <= 1e-6
+    if l01 < 1e-6:
+        assert abs(total - l01) <= 1e-5 * l01

@@ -276,20 +276,6 @@ def test_phi_gradient_identity_is_c_independent():
         assert phi_gradient_check(mp, 2.0 + 1.0j, 1e-5) < 1e-6
 
 
-def test_log_density_gradient_matches_finite_differences():
-    mp = three_football_metric(SPECIAL)
-    h = 1e-6
-    for z in sample_points(mp, 100, seed=37):
-        g = metric.log_density_gradient(mp, z)
-        gx = (0.5 * math.log(density_at(mp, z + h))
-              - 0.5 * math.log(density_at(mp, z - h))) / (2 * h)
-        gy = (0.5 * math.log(density_at(mp, z + 1j * h))
-              - 0.5 * math.log(density_at(mp, z - 1j * h))) / (2 * h)
-        # d/dz = (d/dx - i d/dy)/2 for the real function log lambda
-        fd = complex(gx, -gy) / 2.0
-        assert abs(fd - g) <= 1e-6 * max(1.0, abs(g))
-
-
 # ---------------------------------------------------------------------------
 # CSV export
 
