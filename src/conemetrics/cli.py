@@ -16,8 +16,10 @@ import random
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import families, forms, geodesics, metric, svg
-from .errors import ConeMetricError
+from .errors import ConeMetricError, StencilHitsSingularity
 from .families import AngleTriple, Branch, HeartParams
 from .forms import INFINITY
 from .metric import MetricParams
@@ -256,17 +258,21 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, float, float]]:
 
     singular = [q for q, _, _ in metric.singular_points(mp) if q is not INFINITY]
     g = cfg.grid
-    worst = 0.0
-    count = 0
+    cells = []
     for iy in range(0, g.ny, max(1, g.ny // 24)):
         for ix in range(0, g.nx, max(1, g.nx // 24)):
             z = complex(g.x_min + (g.x_max - g.x_min) * ix / (g.nx - 1),
                         g.y_min + (g.y_max - g.y_min) * iy / (g.ny - 1))
-            if min(abs(z - q) for q in singular) <= 0.1:
-                continue
-            worst = max(worst, abs(metric.gauss_curvature_fd(mp, z) - 1.0))
-            count += 1
-    checks.append(("curvature", worst if count else math.inf, tol.curvature_tol))
+            if min(abs(z - q) for q in singular) > 0.1:
+                cells.append(z)
+    worst = math.inf
+    if cells:
+        kappa = metric.curvature_field(mp, np.array(cells))
+        hit = np.flatnonzero(np.isnan(kappa))
+        if hit.size:
+            raise StencilHitsSingularity(f"stencil at {cells[hit[0]]} touched a singular point")
+        worst = float(np.max(np.abs(kappa - 1.0)))
+    checks.append(("curvature", worst, tol.curvature_tol))
 
     worst = 0.0
     for point, kind, coefficient in metric.singular_points(mp):

@@ -22,6 +22,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,15 +74,19 @@ class PoleSpec:
 
 @dataclass(frozen=True)
 class CharacterForm:
-    """A third-kind differential given by its ordered list of simple poles."""
+    """A third-kind differential given by its ordered list of simple poles.
+
+    ``positions`` and ``residues`` are built on first use and kept, since
+    pointwise evaluation reads them on every call.
+    """
 
     poles: tuple[PoleSpec, ...]
 
-    @property
+    @cached_property
     def positions(self) -> tuple[complex, ...]:
         return tuple(p.position for p in self.poles)
 
-    @property
+    @cached_property
     def residues(self) -> tuple[float, ...]:
         return tuple(p.residue for p in self.poles)
 
@@ -116,16 +121,25 @@ def min_pole_distance(form: CharacterForm, z) -> float:
 
 def _require_off_poles(form: CharacterForm, z) -> complex:
     z = _as_finite_complex(z)
-    d = min_pole_distance(form, z)
+    d = min(abs(z - p) for p in form.positions)
     if d <= POLE_GUARD:
         raise EvalAtPole(f"evaluation at {z} is within {d:.2e} of a pole")
     return z
 
 
+def _coefficient(form: CharacterForm, z: complex) -> complex:
+    """f(z) at a point already checked by :func:`_require_off_poles`."""
+    return sum(p.residue / (z - p.position) for p in form.poles)
+
+
+def _potential(form: CharacterForm, z: complex) -> float:
+    """potential(z) at a point already checked by :func:`_require_off_poles`."""
+    return math.fsum(2.0 * p.residue * math.log(abs(z - p.position)) for p in form.poles)
+
+
 def coefficient_at(form: CharacterForm, z) -> complex:
     """The coefficient function f(z) = sum_k r_k / (z - p_k)."""
-    z = _require_off_poles(form, z)
-    return sum(p.residue / (z - p.position) for p in form.poles)
+    return _coefficient(form, _require_off_poles(form, z))
 
 
 def coefficient_derivative_at(form: CharacterForm, z) -> complex:
@@ -146,8 +160,7 @@ def potential_at(form: CharacterForm, z) -> float:
     metric parameters.  Each term is computed as ``2 r ln|z-p|`` so extreme
     moduli neither overflow nor lose the sign of the log.
     """
-    z = _require_off_poles(form, z)
-    return math.fsum(2.0 * p.residue * math.log(abs(z - p.position)) for p in form.poles)
+    return _potential(form, _require_off_poles(form, z))
 
 
 def _numerator_coefficients(form: CharacterForm) -> np.ndarray:

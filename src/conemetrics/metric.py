@@ -9,13 +9,23 @@ constant ``c`` is conformal,
 
 which is exactly the pullback of the round sphere metric under the
 (multi-valued) developing map F with |F|^2 = e^s.  Everything in this
-module is a plain function of a :class:`MetricParams`; nothing caches.
+module is a plain function of a :class:`MetricParams`; the only state kept
+is the position and residue tuples a :class:`~conemetrics.forms.CharacterForm`
+builds once.
+
+Single points go through the scalar evaluators (``density_at``,
+``phi_at``), which ODE right-hand sides and quadrature integrands call.
+Arrays of points (the curvature stencil and the CSV grid) go through one
+numpy kernel with the same formulas; the two paths agree to rounding, not
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import forms
 from .errors import (
@@ -24,7 +34,7 @@ from .errors import (
     QuadratureNearPole,
     StencilHitsSingularity,
 )
-from .forms import INFINITY, CharacterForm, coefficient_at
+from .forms import INFINITY, POLE_GUARD, CharacterForm, coefficient_at
 
 #: default finite-difference step for curvature stencils; balances O(h^2)
 #: truncation against O(ulp/h^2) rounding in double precision
@@ -76,8 +86,10 @@ def phi_at(params: MetricParams, z) -> float:
 
 def density_at(params: MetricParams, z) -> float:
     """Conformal density lambda^2(z) = Phi (4 - Phi) / 4 * |f(z)|^2."""
-    s = log_scale_at(params, z)
-    f = coefficient_at(params.form, z)
+    form = params.form
+    z = forms._require_off_poles(form, z)
+    s = forms._potential(form, z) + params.c_log
+    f = forms._coefficient(form, z)
     # Phi (4 - Phi) / 4 = 4 sigmoid(s) sigmoid(-s), computed from e^{-|s|}
     t = math.exp(-abs(s))
     bell = 4.0 * t / (1.0 + t) ** 2
@@ -134,35 +146,78 @@ def density_inverted_chart(params: MetricParams, w) -> float:
     return density_at(params, 1.0 / w) / abs(w) ** 4
 
 
-def _half_log_density(params: MetricParams, z) -> float:
-    d = density_at(params, z)
-    if d <= 0.0:
-        raise StencilHitsSingularity(f"density vanished at stencil point {z}")
-    return 0.5 * math.log(d)
+def _evaluate(params: MetricParams, z: np.ndarray):
+    """Vectorised ``phi_at`` and ``density_at`` over a complex array.
+
+    Returns ``(s, phi, density)``, each nan exactly where the scalar
+    evaluators raise: at non-finite points and within ``POLE_GUARD`` of a
+    pole.
+    """
+    potential = np.zeros(z.shape)
+    f = np.zeros(z.shape, dtype=complex)
+    nearest = np.full(z.shape, np.inf)
+    with np.errstate(all="ignore"):
+        for p in params.form.poles:
+            d = z - p.position
+            r = np.abs(d)
+            nearest = np.minimum(nearest, r)
+            potential += 2.0 * p.residue * np.log(r)
+            f += p.residue / d
+        ok = np.isfinite(z) & (nearest > POLE_GUARD)
+        s = np.where(ok, potential + params.c_log, np.nan)
+        t = np.exp(-np.abs(s))
+        phi = np.where(s >= 0.0, 4.0 / (1.0 + t), 4.0 * t / (1.0 + t))
+        density = 4.0 * t / (1.0 + t) ** 2 * (f.real * f.real + f.imag * f.imag)
+    return s, phi, density
 
 
-def gauss_curvature_fd(params: MetricParams, z, h: float = CURVATURE_STEP) -> float:
-    """Gaussian curvature via K = -laplacian(log lambda) / lambda^2.
+def curvature_field(params: MetricParams, z, h: float = CURVATURE_STEP) -> np.ndarray:
+    """Gaussian curvature K at every point of the complex array ``z``.
 
-    The Laplacian uses the 5-point stencil with spacing ``h``; the result
-    should be 1 up to O(h^2) truncation plus rounding wherever the metric
-    is honestly spherical.
+    ``log lambda = log|f| + log 2 - sigma s / 2 - g`` with
+    ``g = log1p(e^{-sigma s})`` holds for either sign ``sigma``; the first
+    three terms are harmonic off the singular points, so
+    ``K = -laplacian(log lambda) / lambda^2 = laplacian(g) / lambda^2``.
+    The Laplacian of ``g`` alone is taken with the 5-point stencil of
+    spacing ``h``, ``sigma`` being the sign of ``s`` at the stencil centre.
+
+    Each arm's difference ``g(z + d) - g(z)`` is formed from
+    ``s(z + d) - s(z) = sum_k r_k log|1 + d / (z - p_k)|^2`` directly, never
+    by subtracting two values of ``s``: where the density is tiny, ``g`` is
+    about ``e^{-|s|}`` and the rounding of ``s`` itself would swamp the
+    O(h^2 lambda^2) signal.  K is nan where a stencil point lies within
+    ``POLE_GUARD`` of a pole or has zero density.
     """
     if not (1e-6 <= h <= 1e-2):
         raise ValueError(f"stencil step h={h} outside [1e-6, 1e-2]")
+    z = np.asarray(z, dtype=complex)
+    arms = np.array([h, -h, 1j * h, -1j * h]).reshape((4,) + (1,) * z.ndim)
+    s, _, density = _evaluate(params, np.concatenate([z[None], z + arms]))
+    usable = np.all(density > 0.0, axis=0)  # false at nan
+    with np.errstate(all="ignore"):
+        ds = np.zeros(arms.shape[:1] + z.shape)
+        for p in params.form.poles:
+            w = arms / (z - p.position)
+            ds += p.residue * np.log1p(2.0 * w.real + (w.real * w.real + w.imag * w.imag))
+        # g(s + ds) - g(s) = log1p(q expm1(-sigma ds)), q = e^{-sigma s} / (1 + e^{-sigma s})
+        centre = s[0]
+        t = np.exp(-np.abs(centre))
+        dg = np.log1p(t / (1.0 + t) * np.expm1(np.where(centre >= 0.0, -ds, ds)))
+        lap = ((dg[0] + dg[1]) + (dg[2] + dg[3])) / (h * h)
+        return np.where(usable, lap / density[0], np.nan)
+
+
+def gauss_curvature_fd(params: MetricParams, z, h: float = CURVATURE_STEP) -> float:
+    """Gaussian curvature at one point, by the stencil of :func:`curvature_field`.
+
+    The result should be 1 up to O(h^2) truncation plus rounding wherever
+    the metric is honestly spherical.
+    """
     z = complex(z)
-    try:
-        center = _half_log_density(params, z)
-        around = [
-            _half_log_density(params, z + h),
-            _half_log_density(params, z - h),
-            _half_log_density(params, z + 1j * h),
-            _half_log_density(params, z - 1j * h),
-        ]
-    except (EvalAtPole, ValueError) as exc:
-        raise StencilHitsSingularity(f"stencil at {z} touched a singular point") from exc
-    lap = (math.fsum(around) - 4.0 * center) / (h * h)
-    return -lap / density_at(params, z)
+    k = float(curvature_field(params, np.array([z]), h)[0])
+    if math.isnan(k):
+        raise StencilHitsSingularity(f"stencil at {z} touched a singular point")
+    return k
 
 
 def phi_gradient_check(params: MetricParams, z, h: float = 1e-5) -> float:
@@ -325,23 +380,25 @@ def write_density_grid_csv(params: MetricParams, bounds, nx: int, ny: int, fh,
                            h: float = CURVATURE_STEP) -> None:
     """Write the re,im,phi,density,curvature grid as CSV to an open text file.
 
-    Cells whose stencil touches a singular point are written as NaN; rows are
-    emitted with x varying fastest, 17 significant digits throughout.
+    Rows are emitted with x varying fastest, 17 significant digits
+    throughout.  ``phi`` and ``density`` are nan within ``POLE_GUARD`` of a
+    pole, and ``curvature`` is nan where its stencil touches a singular
+    point.  Each grid row is evaluated as one numpy array and written before
+    the next, so memory is bounded by ``nx``, not by ``nx * ny``.
     """
     x0, x1, y0, y1 = bounds
+    xs = [x0 + (x1 - x0) * ix / (nx - 1) for ix in range(nx)]
+    re_text = [f"{x:.17g}" for x in xs]
+    z = np.empty(nx, dtype=complex)
+    z.real = xs
     fh.write("re,im,phi,density,curvature\n")
     for iy in range(ny):
         y = y0 + (y1 - y0) * iy / (ny - 1)
-        for ix in range(nx):
-            x = x0 + (x1 - x0) * ix / (nx - 1)
-            z = complex(x, y)
-            try:
-                phi = f"{phi_at(params, z):.17g}"
-                den = f"{density_at(params, z):.17g}"
-            except EvalAtPole:
-                phi = den = "nan"
-            try:
-                cur = f"{gauss_curvature_fd(params, z, h):.17g}"
-            except (StencilHitsSingularity, EvalAtPole):
-                cur = "nan"
-            fh.write(f"{x:.17g},{y:.17g},{phi},{den},{cur}\n")
+        z.imag = y
+        _, phi, den = _evaluate(params, z)
+        cur = curvature_field(params, z, h)
+        im = f"{y:.17g}"
+        fh.writelines(
+            f"{re},{im},{p:.17g},{d:.17g},{k:.17g}\n"
+            for re, p, d, k in zip(re_text, phi.tolist(), den.tolist(), cur.tolist())
+        )

@@ -80,3 +80,12 @@ def test_report_exit_code_matches_payload(capsys, p_beta):
     assert ("error" in payload) == (code == 1)
     if code == 0:
         assert set(payload) == {"ell1", "ell2", "L01", "theta"}
+
+
+@pytest.mark.parametrize("config", [
+    ("--family", "threefb", "--special", "--pbeta", "0.3+0.2i"),
+    ("--family", "heart", "--beta", "0.15"),
+], ids=["special-0.3+0.2i", "heart-0.15"])
+def test_verify_curvature_passes_where_the_density_is_tiny(capsys, config):
+    code, out = run(capsys, "verify", *config)
+    assert re.search(r"^curvature: residual=\S+ tol=\S+ PASS$", out, re.M), out

@@ -2,6 +2,7 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conemetrics import forms, metric
@@ -12,6 +13,7 @@ from conemetrics.errors import (
     StencilHitsSingularity,
 )
 from conemetrics.families import (
+    AngleTriple,
     Branch,
     HeartParams,
     heart_metric,
@@ -24,6 +26,7 @@ from conemetrics.metric import (
     DensityField,
     MetricParams,
     cone_angle_estimate,
+    curvature_field,
     density_at,
     density_via_developing,
     developing_modulus,
@@ -205,6 +208,33 @@ def test_curvature_three_football():
     assert gauss_curvature_fd(mp, 0.45 + 0.9j, 1e-4) == pytest.approx(1.0, abs=5e-3)
 
 
+def test_curvature_where_density_is_tiny():
+    # lambda^2 ~ 1e-5 next to the fixture's 4 pi cone, and ~ 1e-14 at a
+    # generic football whose residues nearly cancel (|f| ~ 5e-4, s ~ 18):
+    # differencing log lambda, or even g after rounding s, misses K = 1 here
+    generic = make_three_football(AngleTriple(1.02995, 0.757849, 0.821805),
+                                  complex(-1.32657, -1.41649), Branch.MINUS, 1.38803)
+    for mp, z in ((three_football_metric(SPECIAL), 1.2),
+                  (three_football_metric(generic), 1.2),
+                  (three_football_metric(generic), 0.2)):
+        assert density_at(mp, z) < 1e-4
+        assert gauss_curvature_fd(mp, z) == pytest.approx(1.0, abs=5e-3)
+
+
+def test_curvature_field_matches_pointwise_stencil():
+    mp = heart_metric(HeartParams(0.5, 0.0))
+    # the last point's stencil lands on the pole at 1, the one before on the zero
+    z = np.array([[0.4 + 0.7j, -2.0 - 1.0j], [1e-4 + 0.0j, 1.0 + 1e-4j]])
+    kappa = curvature_field(mp, z)
+    assert kappa.shape == z.shape
+    assert np.isnan(kappa[1]).all()
+    for zz, k in zip(z[0], kappa[0]):
+        assert k == pytest.approx(gauss_curvature_fd(mp, zz), rel=1e-12)
+        assert k == pytest.approx(1.0, abs=1e-5)
+    with pytest.raises(ValueError):
+        curvature_field(mp, z, 0.1)
+
+
 def test_curvature_stencil_guard():
     mp = heart_metric(HeartParams(0.5, 0.0))
     # one stencil arm lands exactly on the pole at 1
@@ -306,9 +336,67 @@ def test_csv_grid_deterministic():
 
 
 def test_csv_values_round_trip_density():
+    # the CSV carries the row kernel's values exactly; the kernel agrees with
+    # the scalar density_at only to rounding (test_csv_matches_scalar_path)
     mp = heart_metric(HeartParams(0.6, 0.0))
     buf = io.StringIO()
     write_density_grid_csv(mp, (0.2, 0.4, 0.2, 0.4), 2, 2, buf)
-    row = buf.getvalue().strip().split("\n")[1].split(",")
-    z = complex(float(row[0]), float(row[1]))
-    assert float(row[3]) == density_at(mp, z)
+    rows = [line.split(",") for line in buf.getvalue().strip().split("\n")[1:3]]
+    row_z = np.array([complex(float(r[0]), float(r[1])) for r in rows])
+    _, phi, den = metric._evaluate(mp, row_z)
+    for r, p, d in zip(rows, phi.tolist(), den.tolist()):
+        assert float(r[2]) == p
+        assert float(r[3]) == d
+
+
+def _scalar_rows(mp, bounds, nx, ny):
+    """The grid evaluated one point at a time through the scalar API."""
+    x0, x1, y0, y1 = bounds
+    out = []
+    for iy in range(ny):
+        y = y0 + (y1 - y0) * iy / (ny - 1)
+        for ix in range(nx):
+            x = x0 + (x1 - x0) * ix / (nx - 1)
+            z = complex(x, y)
+            try:
+                phi, den = phi_at(mp, z), density_at(mp, z)
+            except EvalAtPole:
+                phi = den = math.nan
+            try:
+                cur = gauss_curvature_fd(mp, z)
+            except StencilHitsSingularity:
+                cur = math.nan
+            out.append((f"{x:.17g}", f"{y:.17g}", z, phi, den, cur))
+    return out
+
+
+@pytest.mark.parametrize("mp", [
+    heart_metric(HeartParams(0.5, 0.0)),
+    heart_metric(HeartParams(0.15, 0.0)),
+    three_football_metric(SPECIAL),
+], ids=["heart-0.5", "heart-0.15", "special"])
+def test_csv_matches_scalar_path(mp):
+    bounds, n = (-3.0, 3.0, -3.0, 3.0), 41
+    buf = io.StringIO()
+    write_density_grid_csv(mp, bounds, n, n, buf)
+    rows = [line.split(",") for line in buf.getvalue().strip().split("\n")[1:]]
+    reference = _scalar_rows(mp, bounds, n, n)
+    assert len(rows) == len(reference) == n * n
+    singular = [q for q, _, _ in metric.singular_points(mp) if q is not INFINITY]
+    for row, (re, im, z, phi, den, cur) in zip(rows, reference):
+        assert (row[0], row[1]) == (re, im)
+        got_phi, got_den, got_cur = (float(v) for v in row[2:])
+        assert math.isnan(got_phi) == math.isnan(phi)
+        assert math.isnan(got_den) == math.isnan(den)
+        assert math.isnan(got_cur) == math.isnan(cur)
+        if math.isnan(phi):
+            continue
+        # lambda^2 is a bell factor times |f|^2, and f is a sum that may
+        # cancel: bound the difference by the size of the summands
+        t = math.exp(-abs(metric.log_scale_at(mp, z)))
+        bell = 4.0 * t / (1.0 + t) ** 2
+        terms = math.fsum(abs(p.residue / (z - p.position)) for p in mp.form.poles)
+        assert abs(got_den - den) <= 1e-14 * bell * terms * terms
+        assert abs(got_phi - phi) <= 1e-14 * phi
+        if min(abs(z - q) for q in singular) >= 0.1:
+            assert abs(got_cur - 1.0) <= 5e-3
