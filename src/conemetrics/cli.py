@@ -275,8 +275,17 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, float, float]]:
     checks.append(("curvature", worst, tol.curvature_tol))
 
     worst = 0.0
-    for point, kind, coefficient in metric.singular_points(mp):
-        est = metric.cone_angle_estimate(mp, point, eps=1e-3, n=512)
+    marked = metric.singular_points(mp)
+    finite = [q for q, _, _ in marked if q is not INFINITY]
+    for point, kind, coefficient in marked:
+        # the estimate errs by about 0.26 (eps / d)^2, d the chart distance
+        # from the point to the nearest other singular point
+        if point is INFINITY:
+            d = 1.0 / max(abs(q) for q in finite)
+        else:
+            d = min(abs(q - point) for q in finite if q != point)
+        eps = max(1e-5, min(1e-3, d / 20.0))
+        est = metric.cone_angle_estimate(mp, point, eps=eps, n=512)
         expected = 2.0 * math.pi * coefficient
         worst = max(worst, abs(est - expected) / expected)
     checks.append(("cone-angles", worst, 1e-2))

@@ -71,7 +71,7 @@ class NotASingularPoint(ConeMetricError):
 
 
 class QuadratureNearPole(ConeMetricError):
-    """Quadrature contour or ray would pass too close to another singularity."""
+    """A cone-angle contour would pass within three radii of another singular point."""
 
 
 # ---------------------------------------------------------------------------

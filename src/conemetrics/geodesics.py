@@ -15,8 +15,9 @@ cosines.  Numerical tracing is left to deciding which path classes are
 realized (their developed arc lifts back to the chart without meeting a
 cone) and to the radial traces drawn by ``plot`` and checked by ``verify``.
 Cone points are honest metric points but the flow degenerates there, so
-traces launch from small chart offsets and the missing cone-approach stubs
-are integrated radially and added back.
+traces launch from small chart offsets; the missing cone-approach stubs are
+the closed-form distances to the vertex (``metric.vertex_distance``) and
+are added back.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from . import metric as metric_mod
 from .errors import DegenerateTriangle, EndpointNotReached, EvalAtPole, TraceDiverged
 from .families import ThreeFootballParams, three_football_metric
 from .forms import INFINITY, coefficient_at, coefficient_derivative_at
-from .metric import MetricParams, density_at, developing_modulus
+from .metric import MetricParams, density_at, developing_modulus, vertex_distance
 
 #: chart offset from which paths launch out of a cone point
 LAUNCH_OFFSET = 1e-4
@@ -113,7 +113,7 @@ def three_football_lengths(params: MetricParams) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# polyline quadrature and cone stubs
+# polyline quadrature
 
 def path_length(params: MetricParams, samples) -> float:
     """Composite per-segment midpoint quadrature of sqrt(density) along a polyline."""
@@ -125,14 +125,6 @@ def path_length(params: MetricParams, samples) -> float:
         mid = 0.5 * (z0 + z1)
         total += math.sqrt(density_at(params, mid)) * abs(z1 - z0)
     return total
-
-
-def cone_approach_length(params: MetricParams, p, direction: complex, r: float) -> float:
-    """Metric length of the straight chart segment from marked point p to p + r*dir."""
-    kind, coefficient = metric_mod._classify_singular(params, p)
-    u = complex(direction)
-    u /= abs(u)
-    return metric_mod._radial_metric_length(params, p, u, r, kind, coefficient)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +164,9 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
     exceed four mean spacings (the declared consecutive-distance bound).
     Tracing starts at chart offset ``LAUNCH_OFFSET`` from ``a`` and stops at
     ``ARRIVAL_RADIUS`` from ``b`` (or once ``|z| = clip_radius``, if given,
-    for plots running off to infinity); both cone stubs are integrated
-    radially and included in ``length``.
+    for plots running off to infinity).  Both cone stubs are closed-form
+    vertex distances (:func:`~conemetrics.metric.vertex_distance`), included
+    in ``length``.
     """
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
@@ -184,7 +177,6 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
         # |F| ~ |z|^(sum of residues) at infinity
         total = sum(p.residue for p in form.poles)
         increasing = total > 0.0
-        kappa_b = abs(total)
         if total == 0.0:
             raise TraceDiverged("|F| has a finite limit at infinity; no radial target there")
     else:
@@ -194,7 +186,6 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
         if res_b is None:
             raise TraceDiverged(f"target {b} is not a pole of the form")
         increasing = res_b < 0.0
-        kappa_b = abs(res_b)
 
     u_hat = _default_launch(params, a, b, increasing) if launch_dir is None \
         else complex(launch_dir) / abs(complex(launch_dir))
@@ -281,18 +272,12 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
     arc = abs(float(sol.sol(tau_end)[2]))
     z_end = samples[-1]
 
-    stub_a = cone_approach_length(params, a, u_hat, LAUNCH_OFFSET)
-    if b is INFINITY:
-        defect = 1.0 / abs(z_end)
-        if clip_radius is not None:
-            stub_b = 0.0
-        else:
-            lam_w = math.sqrt(metric_mod.density_inverted_chart(params, 1.0 / z_end))
-            stub_b = lam_w * defect / kappa_b
+    stub_a = float(vertex_distance(params, a, z_start))
+    if b is INFINITY and clip_radius is not None:
+        stub_b = 0.0  # a clipped trace stops short of infinity on purpose
     else:
-        v_hat = (z_end - b) / abs(z_end - b)
-        stub_b = cone_approach_length(params, b, v_hat, abs(z_end - b))
-        defect = abs(z_end - b)
+        stub_b = float(vertex_distance(params, b, z_end))
+    defect = 1.0 / abs(z_end) if b is INFINITY else abs(z_end - b)
 
     return GeodesicPath(samples=samples,
                         length=stub_a + arc + stub_b,

@@ -14,10 +14,16 @@ is the position and residue tuples a :class:`~conemetrics.forms.CharacterForm`
 builds once.
 
 Single points go through the scalar evaluators (``density_at``,
-``phi_at``), which ODE right-hand sides and quadrature integrands call.
-Arrays of points (the curvature stencil and the CSV grid) go through one
+``phi_at``), which ODE right-hand sides call.  Arrays of points (the
+curvature stencil, the cone-angle contours and the CSV grid) go through one
 numpy kernel with the same formulas; the two paths agree to rounding, not
 bit for bit.
+
+Around a cone point F is an isometry onto the round sphere, so the distance
+to the vertex is closed-form (``vertex_distance``): ``2 arctan |F|^{+-1}``
+where the vertex develops to 0 or infinity, the chordal distance from F(a)
+at a zero a.  Cone angles then follow from the spherical cone law
+``C = theta sin rho`` without any quadrature.
 """
 
 from __future__ import annotations
@@ -138,14 +144,6 @@ def density_via_developing(params: MetricParams, z) -> float:
     return 4.0 * u * (f.real * f.real + f.imag * f.imag) / (1.0 + u) ** 2
 
 
-def density_inverted_chart(params: MetricParams, w) -> float:
-    """Density in the w = 1/z chart: lambda^2(1/w) / |w|^4."""
-    w = complex(w)
-    if w == 0.0:
-        raise EvalAtPole("w = 0 is the point at infinity itself")
-    return density_at(params, 1.0 / w) / abs(w) ** 4
-
-
 def _evaluate(params: MetricParams, z: np.ndarray):
     """Vectorised ``phi_at`` and ``density_at`` over a complex array.
 
@@ -263,92 +261,81 @@ def singular_points(params: MetricParams) -> list[tuple[object, str, float]]:
 
 
 def _classify_singular(params: MetricParams, p, match_tol: float = 1e-9):
+    """(kind, residue of omega) at the marked point p; the residue is 0 at a zero."""
     if p is INFINITY:
         res_inf = forms.residue_at_infinity(params.form)
         if res_inf == 0.0:
             raise NotASingularPoint("infinity is a regular point of this form")
-        return "infinity", abs(res_inf)
+        return "infinity", res_inf
     p = complex(p)
     for spec in params.form.poles:
         if abs(p - spec.position) <= match_tol:
-            return "pole", abs(spec.residue)
-    for root, order in forms.finite_zeros(params.form):
+            return "pole", spec.residue
+    for root, _ in forms.finite_zeros(params.form):
         if abs(p - root) <= max(match_tol, 1e-7):
-            return "zero", order + 1.0
+            return "zero", 0.0
     raise NotASingularPoint(f"{p} is neither a pole, a zero, nor infinity")
 
 
-#: fixed, deliberately generic base ray for radial quadrature; cone-angle
-#: estimates average over its four quarter-turns so the first-order drift of
-#: the regular potential cancels from the radius integral
-_RAY = complex(math.cos(0.37), math.sin(0.37))
+def vertex_distance(params: MetricParams, p, z) -> np.ndarray:
+    """Spherical distance from the marked point p to each point of the complex array z.
 
-#: inner cutoff for radial quadrature toward a pole; below it the metric is
-#: pure cone up to O(r) relative corrections
-_RADIAL_INNER = 1e-9
+    Around a cone point the developing map F is an isometry onto the round
+    sphere, so the distance is that between the developed images, in closed
+    form.  A pole, or INFINITY, develops to 0 or infinity:
 
+        rho = 2 arctan e^{sigma s / 2},
 
-def _sqrt_density_on_ray(params: MetricParams, p: complex, direction: complex):
-    def integrand(t: float) -> float:
-        return math.sqrt(density_at(params, p + t * direction))
+    with sigma the sign of the residue of omega there (``-sum r_k`` at
+    INFINITY), not of ``|F| - 1``: with a small residue and ``c > 0``,
+    ``|F|`` can exceed 1 close to a vertex at 0.  A zero a develops to
+    F(a) = m e^{i t}, and F(z) = F(a) e^L with
+    ``L = sum_k r_k log1p((z - a) / (a - p_k))``, so the chordal distance gives
 
-    return integrand
+        tan(rho / 2) = m |expm1 L| / |1 + m^2 e^L|.
 
-
-def _radial_metric_length(params: MetricParams, p, direction: complex, r: float,
-                          kind: str, coefficient: float) -> float:
-    """Metric length of the chart segment from the marked point p out to radius r."""
-    import warnings
-
-    from scipy.integrate import IntegrationWarning, quad
-
-    if kind == "infinity":
-        # same ray integral, run in the w = 1/z chart
-        def integrand(t: float) -> float:
-            return math.sqrt(density_inverted_chart(params, t * direction))
-    else:
-        integrand = _sqrt_density_on_ray(params, complex(p), direction)
-
-    # the steep t^{k-1} profile makes QUADPACK report roundoff well before
-    # the requested tolerance; the returned values are still far more
-    # accurate than the downstream length tolerances need
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        if kind == "pole" or kind == "infinity":
-            # singular at 0: integrate the outer part and close with the
-            # cone-model tail A t^k / k below the cutoff
-            inner = _RADIAL_INNER
-            value, _ = quad(integrand, inner, r, limit=400, epsabs=0.0, epsrel=1e-11)
-            tail = integrand(inner) * inner / coefficient
-            return value + tail
-        value, _ = quad(integrand, 0.0, r, limit=400, epsabs=0.0, epsrel=1e-11)
-        return value
+    Valid while z is nearer to p than every other singular point.
+    """
+    kind, residue = _classify_singular(params, p)
+    z = np.asarray(z, dtype=complex)
+    if kind == "zero":
+        a = complex(p)
+        m = developing_modulus(params, a)
+        log_ratio = sum(q.residue * np.log1p((z - a) / (a - q.position))
+                        for q in params.form.poles)
+        # the formula above divided through by m, so that m^2 cannot overflow
+        return 2.0 * np.arctan(np.abs(np.expm1(log_ratio))
+                               / np.abs(1.0 / m + m * np.exp(log_ratio)))
+    s, _, _ = _evaluate(params, z)
+    return 2.0 * np.arctan(np.exp(math.copysign(0.5, residue) * s))
 
 
 def cone_angle_estimate(params: MetricParams, p, eps: float = 1e-3, n: int = 1024) -> float:
-    """Estimate the cone angle at a marked point from circumference / radius.
+    """Estimate the cone angle at a marked point by the spherical cone law.
 
-    Integrates the metric circumference of the chart circle ``|z - p| = eps``
-    (trapezoid over ``n`` nodes, spectrally accurate for the smooth
-    integrand) and divides by the metric length of a chart ray from p, giving
-    2 pi k + O(eps) for a cone of angle 2 pi k.  For ``p = INFINITY`` both
-    integrals run in the w = 1/z chart.
+    A circle at distance rho from the vertex of a spherical cone of angle
+    theta has length ``theta sin rho``.  The chart circle ``|z - p| = eps``
+    is such a circle only to first order, so the estimate sums
+    ``lambda |dz| / sin rho`` over its ``n`` nodes (trapezoid rule,
+    spectrally accurate for the smooth periodic integrand), ``rho`` being
+    :func:`vertex_distance`.  It gives 2 pi k up to about
+    ``0.26 (eps / d)^2`` relative, ``d`` the chart distance to the nearest
+    other singular point.  For ``p = INFINITY`` the circle is ``|w| = eps``
+    in the w = 1/z chart, where the density is ``lambda / |w|^2``.
     """
     if not (1e-5 <= eps <= 1e-2):
         raise ValueError(f"eps={eps} outside [1e-5, 1e-2]")
     if n < 256:
-        raise ValueError(f"need at least 256 quadrature nodes, got {n}")
-    kind, coefficient = _classify_singular(params, p)
+        raise ValueError(f"need at least 256 contour nodes, got {n}")
+    kind, _ = _classify_singular(params, p)
+    circle = eps * np.exp(2j * math.pi / n * np.arange(n))
 
     if kind == "infinity":
         others = [q for q, _, _ in singular_points(params) if q is not INFINITY]
         if any(abs(q) > 1.0 / (3.0 * eps) for q in others):
             raise QuadratureNearPole("a finite singular point crowds the contour at infinity")
-
-        def lam(w: complex) -> float:
-            return math.sqrt(density_inverted_chart(params, w))
-
-        center = 0.0 + 0.0j
+        z = 1.0 / circle
+        chart_scale = 1.0 / (eps * eps)
     else:
         center = complex(p)
         others = [
@@ -357,20 +344,12 @@ def cone_angle_estimate(params: MetricParams, p, eps: float = 1e-3, n: int = 102
         ]
         if any(abs(q - center) < 3.0 * eps for q in others):
             raise QuadratureNearPole(f"another singular point within 3*eps of {center}")
+        z = center + circle
+        chart_scale = 1.0
 
-        def lam(z: complex) -> float:
-            return math.sqrt(density_at(params, z))
-
-    step = 2.0 * math.pi / n
-    circumference = eps * step * math.fsum(
-        lam(center + eps * complex(math.cos(k * step), math.sin(k * step)))
-        for k in range(n)
-    )
-    radius = math.fsum(
-        _radial_metric_length(params, p, _RAY * 1j ** k, eps, kind, coefficient)
-        for k in range(4)
-    ) / 4.0
-    return circumference / radius
+    _, _, density = _evaluate(params, z)
+    arc = np.sqrt(density) / np.sin(vertex_distance(params, p, z))
+    return float(chart_scale * eps * 2.0 * math.pi / n * np.sum(arc))
 
 
 # ---------------------------------------------------------------------------

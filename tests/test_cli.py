@@ -85,7 +85,22 @@ def test_report_exit_code_matches_payload(capsys, p_beta):
 @pytest.mark.parametrize("config", [
     ("--family", "threefb", "--special", "--pbeta", "0.3+0.2i"),
     ("--family", "heart", "--beta", "0.15"),
-], ids=["special-0.3+0.2i", "heart-0.15"])
+    ("--family", "heart", "--beta", "0.3"),
+    # two poles 2.3e-3 apart, and the third at |z| ~ 887
+    ("--family", "threefb", "--alpha", "0.7245642810191482", "--beta", "0.42651681363642596",
+     "--gamma", "0.42424003566607277", "--pbeta", "1.1960650911833999-0.5356159447174936i",
+     "--branch", "minus", "--camp", "3.4310515156189765"),
+    # a pole at |z| ~ 427, within 3e-3 of infinity in the w = 1/z chart
+    ("--family", "threefb", "--alpha", "1.1540720102069653", "--beta", "0.5703196331778746",
+     "--gamma", "0.5601789631272324", "--pbeta", "-0.2547391929220373-1.0149269795084517i",
+     "--branch", "minus", "--camp", "1.57006035055644"),
+], ids=["special-0.3+0.2i", "heart-0.15", "heart-0.3", "crowded-poles", "crowded-infinity"])
 def test_verify_curvature_passes_where_the_density_is_tiny(capsys, config):
+    # every check passes, cone angles and traced length included, and no
+    # marked point is too crowded for its cone-angle contour
     code, out = run(capsys, "verify", *config)
-    assert re.search(r"^curvature: residual=\S+ tol=\S+ PASS$", out, re.M), out
+    lines = out.splitlines()
+    assert code == 0, out
+    assert lines[-1] == "all checks passed", out
+    assert all(re.fullmatch(r"\S+: residual=\S+ tol=\S+ PASS", line) for line in lines[:-1]), out
+    assert any(line.startswith("curvature:") for line in lines), out

@@ -19,7 +19,6 @@ from conemetrics.families import (
 from conemetrics.forms import INFINITY
 from conemetrics.geodesics import (
     GeodesicPath,
-    cone_approach_length,
     decomposition_report,
     l01_side,
     path_length,
@@ -28,7 +27,7 @@ from conemetrics.geodesics import (
     three_football_lengths,
     trace_radial_preimage,
 )
-from conemetrics.metric import MetricParams, developing_modulus
+from conemetrics.metric import MetricParams, developing_modulus, vertex_distance
 
 
 def round_fixture():
@@ -299,7 +298,7 @@ def test_report_triangle_has_positive_excess(special_reports):
 def test_l01_agrees_with_arc_prediction(angles, p_beta, branch, c_amp):
     # the law-of-cosines side must agree with the metric length of the
     # lifted arc itself, integrated independently along its chart samples
-    # and completed by the two radial cone stubs
+    # and completed by the two closed-form cone stubs
     mp = three_football_metric(make_three_football(angles, p_beta, branch, c_amp))
     l01, phi = l01_side(mp)
     z0 = complex(geodesics.LAUNCH_OFFSET, 0.0)
@@ -308,9 +307,9 @@ def test_l01_agrees_with_arc_prediction(angles, p_beta, branch, c_amp):
     xs, ys = sol(np.linspace(0.0, s_end, 20001))
     samples = [complex(x, y) for x, y in zip(xs, ys)]
     z_stop = samples[-1]
-    total = (cone_approach_length(mp, 0.0, 1.0, geodesics.LAUNCH_OFFSET)
+    total = (float(vertex_distance(mp, 0.0, z0))
              + path_length(mp, samples)
-             + cone_approach_length(mp, 1.0, z_stop - 1.0, abs(z_stop - 1.0)))
+             + float(vertex_distance(mp, 1.0, z_stop)))
     assert abs(total - l01) <= 1e-6
     if l01 < 1e-6:
         assert abs(total - l01) <= 1e-5 * l01

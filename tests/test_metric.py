@@ -250,18 +250,35 @@ def test_curvature_stencil_guard():
 # ---------------------------------------------------------------------------
 # cone angles
 
-def test_cone_angles_heart():
-    hp = HeartParams(0.6, 0.0)
-    mp = heart_metric(hp)
-    cases = [
-        (1.0, 2.0 * math.pi * 0.6),
-        (complex(-hp.gamma / hp.beta, 0.0), 2.0 * math.pi * 0.4),
-        (0.0, 4.0 * math.pi),
-        (INFINITY, 2.0 * math.pi),
-    ]
-    for p, expected in cases:
+def _football_cone_angles(tf):
+    a = tf.angles
+    mp = three_football_metric(tf)
+    return mp, [(tf.p_beta, a.beta), (tf.p_alpha, a.alpha + a.beta), (tf.p_gamma, a.gamma),
+                (0.0, 2.0), (1.0, 2.0), (INFINITY, a.alpha + a.gamma)]
+
+
+def _heart_cone_angles(beta):
+    hp = HeartParams(beta, 0.0)
+    return heart_metric(hp), [(1.0, hp.beta), (complex(-hp.gamma / hp.beta, 0.0), hp.gamma),
+                              (0.0, 2.0), (INFINITY, 1.0)]
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda: _heart_cone_angles(0.6), id="heart-0.6"),
+    # the pole at 1 has k = 0.1, and |F| > 1 on its contour
+    pytest.param(lambda: _heart_cone_angles(0.1), id="heart-0.1"),
+    pytest.param(lambda: _football_cone_angles(SPECIAL), id="special-0.3+0.2i"),
+    # P_alpha sits at |z| ~ 133, so the contour at infinity nearly meets it
+    pytest.param(lambda: _football_cone_angles(make_three_football(
+        AngleTriple(1.02995, 0.757849, 0.821805), complex(-1.32657, -1.41649),
+        Branch.MINUS, 1.38803)), id="football-pole-near-infinity"),
+])
+def test_cone_angles_heart(case):
+    mp, points = case()
+    for p, k in points:
+        expected = 2.0 * math.pi * k
         est = cone_angle_estimate(mp, p, eps=1e-3, n=512)
-        assert abs(est - expected) <= 0.01 * expected
+        assert abs(est - expected) <= 0.01 * expected, (p, est, expected)
 
 
 def test_cone_angle_rejects_regular_point():
