@@ -370,16 +370,37 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 
 def _plot_traces(canvas: svg.SvgCanvas, mp: MetricParams, targets) -> None:
-    """targets: iterable of (endpoint, color, launch_dir or None)."""
-    for target, color, launch in targets:
-        try:
-            clip = 10.0 if target is INFINITY else None
-            path = geodesics.trace_radial_preimage(
-                mp, 0.0, target, n=240, launch_dir=launch, clip_radius=clip)
-        except ConeMetricError as exc:
-            canvas.add_comment(f"warning: trace toward {target} failed: {exc}")
-            continue
-        canvas.add_polyline(path.samples, color, "geodesic")
+    """targets: iterable of (endpoint, color, launches).
+
+    ``launches`` lists the launch directions to try in turn (None picks one
+    by the endpoint's direction); the first trace that arrives is drawn.
+    """
+    for target, color, launches in targets:
+        clip = 10.0 if target is INFINITY else None
+        for launch in launches:
+            try:
+                path = geodesics.trace_radial_preimage(
+                    mp, 0.0, target, n=240, launch_dir=launch, clip_radius=clip)
+            except ConeMetricError as exc:
+                failure = exc
+                continue
+            canvas.add_polyline(path.samples, color, "geodesic")
+            break
+        else:
+            canvas.add_comment(f"warning: trace toward {target} failed: {failure}")
+
+
+def _log_modulus(mp: MetricParams, z: np.ndarray) -> np.ndarray:
+    """log|F| = c/2 + sum_k r_k log|z - p_k| over a complex array.
+
+    nan only where |F| is 0 or infinite: unlike the metric kernel, no
+    ``POLE_GUARD`` mask, since the level sets may pass right by a pole.
+    """
+    form = mp.form
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 0.5 * mp.c_log + sum(
+            r * np.log(np.abs(z - p)) for p, r in zip(form.positions, form.residues))
+    return np.where(np.isfinite(out), out, np.nan)
 
 
 def cmd_plot(cfg: RunConfig) -> int:
@@ -389,27 +410,23 @@ def cmd_plot(cfg: RunConfig) -> int:
 
     xs = [g.x_min + (g.x_max - g.x_min) * i / (g.nx - 1) for i in range(g.nx)]
     ys = [g.y_min + (g.y_max - g.y_min) * j / (g.ny - 1) for j in range(g.ny)]
-    log_mod = []
-    for y in ys:
-        row = []
-        for x in xs:
-            m = metric.developing_modulus(mp, complex(x, y))
-            row.append(math.log(m) if 0.0 < m < math.inf else math.nan)
-        log_mod.append(row)
-    anchor = math.log(metric.developing_modulus(mp, 0.0))
+    nodes = np.empty((g.ny, g.nx), dtype=complex)
+    nodes.real = xs
+    nodes.imag = np.array(ys)[:, None]
+    # the anchor through the same expression, so that a node at 0 lies on level 0 exactly
+    anchor = float(_log_modulus(mp, np.zeros(1, dtype=complex))[0])
     levels = [anchor + k * math.log(2.0) for k in range(-3, 4)]
-    svg.add_level_sets(canvas, log_mod, xs, ys, levels)
+    svg.add_level_sets(canvas, _log_modulus(mp, nodes), xs, ys, levels)
 
     if cfg.family == "heart":
         hp = cfg.heart
         pole_gb = complex(-hp.gamma / hp.beta, 0.0)
-        dec = geodesics.launch_directions(mp, 0.0, increasing=False)
         inc = geodesics.launch_directions(mp, 0.0, increasing=True)
         _plot_traces(canvas, mp, [
-            (1.0 + 0.0j, "#cc2222", dec[0]),
-            (pole_gb, "#22aa44", dec[1]),
-            (INFINITY, "#cc2222", inc[0]),
-            (INFINITY, "#22aa44", inc[1]),
+            (1.0 + 0.0j, "#cc2222", (None,)),
+            (pole_gb, "#22aa44", (None,)),
+            (INFINITY, "#cc2222", inc[:1]),
+            (INFINITY, "#22aa44", inc[1:]),
         ])
         canvas.add_mark(0.0 + 0.0j, "0")
         canvas.add_mark(1.0 + 0.0j, "1")
@@ -419,10 +436,10 @@ def cmd_plot(cfg: RunConfig) -> int:
         p_beta, p_alpha, p_gamma = mp.form.positions
         inc = geodesics.launch_directions(mp, 0.0, increasing=True)
         _plot_traces(canvas, mp, [
-            (p_alpha, "#cc2222", None),
-            (p_gamma, "#cc2222", None),
-            (p_beta, "#22aa44", None),
-            (INFINITY, "#22aa44", inc[0]),
+            (p_alpha, "#cc2222", (None,)),
+            (p_gamma, "#cc2222", (None,)),
+            (p_beta, "#22aa44", (None,)),
+            (INFINITY, "#22aa44", inc),
         ])
         canvas.add_mark(0.0 + 0.0j, "0")
         canvas.add_mark(1.0 + 0.0j, "1")

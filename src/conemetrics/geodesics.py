@@ -33,7 +33,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import DegenerateTriangle, EndpointNotReached, EvalAtPole, TraceDiverged
 from .families import ThreeFootballParams, three_football_metric
-from .forms import INFINITY, coefficient_at, coefficient_derivative_at
+from .forms import INFINITY, POLE_GUARD, CharacterForm, coefficient_derivative_at
 from .metric import MetricParams, density_at, developing_modulus, vertex_distance
 
 #: chart offset from which paths launch out of a cone point
@@ -130,6 +130,26 @@ def path_length(params: MetricParams, samples) -> float:
 # ---------------------------------------------------------------------------
 # radial preimage tracing
 
+def _coefficient_and_potential(form: CharacterForm, z: complex, with_potential: bool) -> tuple[complex, float]:
+    """f(z) and, when asked, the potential at z, in one pass over the poles.
+
+    The scalar path of the ODE right-hand sides: z is not revalidated, and
+    the potential is 0.0 unless ``with_potential``.  Raises EvalAtPole
+    where ``not |z - p| > POLE_GUARD``, which also catches a nan z.
+    """
+    f = 0j
+    potential = 0.0
+    for p, r in zip(form.positions, form.residues):
+        d = z - p
+        dist = abs(d)
+        if not dist > POLE_GUARD:
+            raise EvalAtPole(f"evaluation at {z} is within {dist:.2e} of a pole")
+        f += r / d
+        if with_potential:
+            potential += 2.0 * r * math.log(dist)
+    return f, potential
+
+
 def launch_directions(params: MetricParams, a, increasing: bool = False) -> tuple[complex, complex]:
     """The two chart directions in which radial curves leave a simple zero.
 
@@ -159,9 +179,13 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
     """Trace the radial geodesic from zero ``a`` toward pole ``b`` (or INFINITY).
 
     The preimage of the developing ray through F(a) obeys dz/dtau = 1/f(z)
-    with tau = log |F|, so the image modulus is stepped geometrically: the
-    samples follow ``n`` tau-uniform steps, bisected wherever a chord would
-    exceed four mean spacings (the declared consecutive-distance bound).
+    with tau = log |F|, so the image modulus is stepped geometrically.  The
+    metric length is integrated alongside, as a third state with
+    d(length)/dtau = lambda |dz/dtau| = 2 sqrt(t) / (1 + t), t = e^{-|s|}:
+    the density's |f|^2 cancels against |1/f|^2, so it stays a quadrature
+    along the traced curve.  The samples follow ``n`` tau-uniform steps,
+    bisected wherever a chord would exceed four mean spacings (the declared
+    consecutive-distance bound).
     Tracing starts at chart offset ``LAUNCH_OFFSET`` from ``a`` and stops at
     ``ARRIVAL_RADIUS`` from ``b`` (or once ``|z| = clip_radius``, if given,
     for plots running off to infinity).  Both cone stubs are closed-form
@@ -193,11 +217,11 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
     tau0 = math.log(developing_modulus(params, z_start))
 
     def rhs(tau, y):
-        z = complex(y[0], y[1])
-        f = coefficient_at(form, z)
+        f, potential = _coefficient_and_potential(form, complex(y[0], y[1]), True)
         v = 1.0 / f
-        lam = math.sqrt(density_at(params, z))
-        return [v.real, v.imag, lam * abs(v)]
+        # lambda |v| = sqrt(bell |f|^2) / |f| with bell = 4 t / (1 + t)^2
+        t = math.exp(-abs(potential + params.c_log))
+        return [v.real, v.imag, 2.0 * math.sqrt(t) / (1.0 + t)]
 
     span = 200.0
     direction = 1.0 if increasing else -1.0
@@ -338,8 +362,8 @@ def _arc_preimage(params: MetricParams, z0: complex, phi: float,
         return complex(dx, dy) / horizontal + dz / vertical
 
     def rhs(s, y):
-        z = complex(y[0], y[1])
-        v = log_derivative(s) / (sign * coefficient_at(form, z))
+        f, _ = _coefficient_and_potential(form, complex(y[0], y[1]), False)
+        v = log_derivative(s) / (sign * f)
         return [v.real, v.imag]
 
     def reached(s, y):

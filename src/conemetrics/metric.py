@@ -14,10 +14,10 @@ is the position and residue tuples a :class:`~conemetrics.forms.CharacterForm`
 builds once.
 
 Single points go through the scalar evaluators (``density_at``,
-``phi_at``), which ODE right-hand sides call.  Arrays of points (the
-curvature stencil, the cone-angle contours and the CSV grid) go through one
-numpy kernel with the same formulas; the two paths agree to rounding, not
-bit for bit.
+``phi_at``); the ODE right-hand sides in ``geodesics`` run their own lean
+loop over the poles instead.  Arrays of points (the curvature stencil, the
+cone-angle contours and the CSV grid) go through one numpy kernel with the
+same formulas; the two paths agree to rounding, not bit for bit.
 
 Around a cone point F is an isometry onto the round sphere, so the distance
 to the vertex is closed-form (``vertex_distance``): ``2 arctan |F|^{+-1}``
@@ -45,9 +45,6 @@ from .forms import INFINITY, POLE_GUARD, CharacterForm, coefficient_at
 #: default finite-difference step for curvature stencils; balances O(h^2)
 #: truncation against O(ulp/h^2) rounding in double precision
 CURVATURE_STEP = 1e-4
-
-#: beyond this chart radius, quantities "at infinity" switch to the w = 1/z chart
-CHART_SWITCH_RADIUS = 10.0
 
 
 @dataclass(frozen=True)

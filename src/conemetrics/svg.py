@@ -1,15 +1,18 @@
 """Hand-emitted SVG output for family plots.
 
 No plotting dependency: a fixed 800 x 800 viewport, a linear chart-to-pixel
-map, polylines, labelled marks, and dashed level sets extracted with a
-small marching-squares pass.  All coordinates are formatted with fixed
-precision so identical inputs produce byte-identical files.
+map, polylines, labelled marks, and dashed level sets, each extracted by one
+numpy marching-squares pass over the whole grid.  All coordinates are
+formatted with fixed precision so identical inputs produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 VIEWPORT = 800
 MARGIN = 40
@@ -28,7 +31,8 @@ class SvgCanvas:
     elements: list[str] = field(default_factory=list)
     mark_count: int = 0
 
-    def to_pixels(self, z: complex) -> tuple[float, float]:
+    def to_pixels(self, z):
+        """Pixel coordinates ``(px, py)`` of a chart point, or of each point of an array."""
         x0, x1, y0, y1 = self.bounds
         px = MARGIN + (z.real - x0) / (x1 - x0) * (VIEWPORT - 2 * MARGIN)
         py = VIEWPORT - MARGIN - (z.imag - y0) / (y1 - y0) * (VIEWPORT - 2 * MARGIN)
@@ -76,56 +80,56 @@ class SvgCanvas:
         return head + "\n" + "\n".join(self.elements) + "\n</svg>\n"
 
 
-def level_set_segments(values, xs, ys, level):
+def level_set_segments(values, xs, ys, level) -> np.ndarray:
     """Marching-squares segments of ``values == level`` on a rectangular grid.
 
-    ``values[iy][ix]`` is sampled at (xs[ix], ys[iy]); returns chart-plane
-    segments as pairs of complex numbers.  Cells containing non-finite
-    samples are skipped.
+    ``values[iy][ix]`` is sampled at (xs[ix], ys[iy]).  Returns an ``(m, 2)``
+    complex array of chart-plane segments, in row-major cell order.  A cell
+    edge is crossed where ``(va - level) * (vb - level) < 0``, at
+    ``xa + t (xb - xa)`` with ``t = (level - va) / (vb - va)``, the edges
+    taken in corner order 00, 10, 11, 01.  A cell with two crossings gives
+    one segment; a saddle cell with four joins them in that order, first to
+    second and third to fourth.  Cells with a non-finite corner, or with one
+    or three crossings (a corner exactly on the level), give none.
     """
-    segs = []
-    ny = len(ys)
-    nx = len(xs)
-    for iy in range(ny - 1):
-        for ix in range(nx - 1):
-            v00 = values[iy][ix]
-            v10 = values[iy][ix + 1]
-            v01 = values[iy + 1][ix]
-            v11 = values[iy + 1][ix + 1]
-            if not all(math.isfinite(v) for v in (v00, v10, v01, v11)):
-                continue
-            corners = [
-                (v00, complex(xs[ix], ys[iy])),
-                (v10, complex(xs[ix + 1], ys[iy])),
-                (v11, complex(xs[ix + 1], ys[iy + 1])),
-                (v01, complex(xs[ix], ys[iy + 1])),
-            ]
-            crossings = []
-            for k in range(4):
-                va, za = corners[k]
-                vb, zb = corners[(k + 1) % 4]
-                if (va - level) * (vb - level) < 0.0:
-                    t = (level - va) / (vb - va)
-                    crossings.append(za + t * (zb - za))
-            if len(crossings) == 2:
-                segs.append((crossings[0], crossings[1]))
-            elif len(crossings) == 4:
-                # saddle cell: connect in sampling order, deterministic
-                segs.append((crossings[0], crossings[1]))
-                segs.append((crossings[2], crossings[3]))
-    return segs
+    v = np.asarray(values, dtype=float)
+    ny, nx = v.shape
+    x = np.broadcast_to(np.asarray(xs, dtype=float), v.shape)
+    y = np.broadcast_to(np.asarray(ys, dtype=float)[:, None], v.shape)
+
+    def corner(grid, k):
+        """The k-th corner, in order 00, 10, 11, 01, of every cell."""
+        ix, iy = ((0, 0), (1, 0), (1, 1), (0, 1))[k % 4]
+        return grid[iy:iy + ny - 1, ix:ix + nx - 1]
+
+    crossed, cx, cy = [], [], []
+    with np.errstate(all="ignore"):
+        for k in range(4):
+            va, vb = corner(v, k), corner(v, k + 1)
+            xa, ya = corner(x, k), corner(y, k)
+            t = (level - va) / (vb - va)
+            crossed.append((va - level) * (vb - level) < 0.0)
+            cx.append(xa + t * (corner(x, k + 1) - xa))
+            cy.append(ya + t * (corner(y, k + 1) - ya))
+    crossed = np.stack(crossed, axis=-1)
+    finite = np.isfinite(v)
+    usable = corner(finite, 0) & corner(finite, 1) & corner(finite, 2) & corner(finite, 3)
+    count = crossed.sum(axis=-1)
+    keep = crossed & (usable & ((count == 2) | (count == 4)))[..., None]
+    points = np.empty(int(keep.sum()), dtype=complex)
+    points.real = np.stack(cx, axis=-1)[keep]
+    points.imag = np.stack(cy, axis=-1)[keep]
+    return points.reshape(-1, 2)
 
 
 def add_level_sets(canvas: SvgCanvas, values, xs, ys, levels, color: str = "#8888bb") -> None:
     for level in levels:
         segs = level_set_segments(values, xs, ys, level)
-        if not segs:
+        if not len(segs):
             continue
-        parts = []
-        for za, zb in segs:
-            ax, ay = canvas.to_pixels(za)
-            bx, by = canvas.to_pixels(zb)
-            parts.append(f"M {_fmt(ax)} {_fmt(ay)} L {_fmt(bx)} {_fmt(by)}")
+        px, py = canvas.to_pixels(segs)
+        parts = [f"M {_fmt(ax)} {_fmt(ay)} L {_fmt(bx)} {_fmt(by)}"
+                 for (ax, bx), (ay, by) in zip(px.tolist(), py.tolist())]
         canvas.elements.append(
             f'<path class="levelset" d="{" ".join(parts)}" fill="none" '
             f'stroke="{color}" stroke-width="0.8" stroke-dasharray="4,4"/>')

@@ -204,6 +204,14 @@ def test_trace_validates_inputs():
         trace_radial_preimage(mp, 0.0, 0.5 + 0.5j, n=150)
 
 
+def test_trace_stepping_onto_a_pole_diverges():
+    # at beta = 0.15 the radial curve launched along -1 runs into the pole at
+    # -gamma/beta; the right-hand side's pole guard turns that into a typed error
+    mp = heart_metric(HeartParams(0.15, 0.0))
+    with pytest.raises(TraceDiverged, match="stepped onto a pole"):
+        trace_radial_preimage(mp, 0.0, 1.0, launch_dir=-1.0)
+
+
 def test_geodesic_path_json_keys():
     path = GeodesicPath(samples=[0.0 + 0.0j, 1.0 + 2.0j], length=1.5,
                         endpoint_defect=1e-9)
