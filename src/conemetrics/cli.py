@@ -374,20 +374,28 @@ def _plot_traces(canvas: svg.SvgCanvas, mp: MetricParams, targets) -> None:
 
     ``launches`` lists the launch directions to try in turn (None picks one
     by the endpoint's direction); the first trace that arrives is drawn.
+    When none arrives, the warning names the failure of the first launch.
     """
     for target, color, launches in targets:
         clip = 10.0 if target is INFINITY else None
+        failure = None
         for launch in launches:
             try:
                 path = geodesics.trace_radial_preimage(
                     mp, 0.0, target, n=240, launch_dir=launch, clip_radius=clip)
             except ConeMetricError as exc:
-                failure = exc
+                failure = failure or exc
                 continue
             canvas.add_polyline(path.samples, color, "geodesic")
             break
         else:
             canvas.add_comment(f"warning: trace toward {target} failed: {failure}")
+
+
+def _pole_launches(mp: MetricParams, pole: complex) -> tuple:
+    """Launches toward a pole: the default pick (None), then the opposite direction."""
+    residue = next(p.residue for p in mp.form.poles if abs(p.position - pole) <= 1e-9)
+    return None, -geodesics._default_launch(mp, 0.0, pole, residue < 0.0)
 
 
 def _log_modulus(mp: MetricParams, z: np.ndarray) -> np.ndarray:
@@ -423,8 +431,8 @@ def cmd_plot(cfg: RunConfig) -> int:
         pole_gb = complex(-hp.gamma / hp.beta, 0.0)
         inc = geodesics.launch_directions(mp, 0.0, increasing=True)
         _plot_traces(canvas, mp, [
-            (1.0 + 0.0j, "#cc2222", (None,)),
-            (pole_gb, "#22aa44", (None,)),
+            (1.0 + 0.0j, "#cc2222", _pole_launches(mp, 1.0 + 0.0j)),
+            (pole_gb, "#22aa44", _pole_launches(mp, pole_gb)),
             (INFINITY, "#cc2222", inc[:1]),
             (INFINITY, "#22aa44", inc[1:]),
         ])
@@ -436,9 +444,9 @@ def cmd_plot(cfg: RunConfig) -> int:
         p_beta, p_alpha, p_gamma = mp.form.positions
         inc = geodesics.launch_directions(mp, 0.0, increasing=True)
         _plot_traces(canvas, mp, [
-            (p_alpha, "#cc2222", (None,)),
-            (p_gamma, "#cc2222", (None,)),
-            (p_beta, "#22aa44", (None,)),
+            (p_alpha, "#cc2222", _pole_launches(mp, p_alpha)),
+            (p_gamma, "#cc2222", _pole_launches(mp, p_gamma)),
+            (p_beta, "#22aa44", _pole_launches(mp, p_beta)),
             (INFINITY, "#22aa44", inc),
         ])
         canvas.add_mark(0.0 + 0.0j, "0")

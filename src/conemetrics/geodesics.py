@@ -11,13 +11,17 @@ arg F is constant and the length collapses to the closed form
 The 0-to-1 side of the three-football family is closed-form as well: F(0),
 F(1) and infinity span a spherical triangle whose angle at infinity is the
 developing phase of the path class, so the side follows from the law of
-cosines.  Numerical tracing is left to deciding which path classes are
-realized (their developed arc lifts back to the chart without meeting a
-cone) and to the radial traces drawn by ``plot`` and checked by ``verify``.
-Cone points are honest metric points but the flow degenerates there, so
-traces launch from small chart offsets; the missing cone-approach stubs are
-the closed-form distances to the vertex (``metric.vertex_distance``) and
-are added back.
+cosines.  Numerical work is left to deciding which path classes are
+realized, and to the radial traces drawn by ``plot`` and checked by
+``verify``.  A class is realized when its developed arc lifts back to the
+chart without meeting a cone; the lift solves log F(z) = log w(s) by Newton
+continuation along the arc, with the branch of log F carried step by step.
+The zero at 0 is a cone of angle 4 pi, so classes are launched from four
+points around it, on both of its sheets.  The radial traces integrate
+dz/dtau = 1/f(z) with scipy's DOP853.  Cone points are honest metric points
+but the flow degenerates there, so traces launch from small chart offsets;
+the missing cone-approach stubs are the closed-form distances to the vertex
+(``metric.vertex_distance``) and are added back.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import cmath
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +38,21 @@ from scipy.integrate import solve_ivp
 
 from .errors import DegenerateTriangle, EndpointNotReached, EvalAtPole, TraceDiverged
 from .families import ThreeFootballParams, three_football_metric
-from .forms import INFINITY, POLE_GUARD, CharacterForm, coefficient_derivative_at
+from .forms import (
+    INFINITY,
+    POLE_GUARD,
+    CharacterForm,
+    coefficient_derivative_at,
+    finite_zeros,
+)
 from .metric import MetricParams, density_at, developing_modulus, vertex_distance
 
 #: chart offset from which paths launch out of a cone point
 LAUNCH_OFFSET = 1e-4
+
+#: launch points of the 0-1 side, on both sheets of the 4 pi cone at 0
+LAUNCH_POINTS = (complex(LAUNCH_OFFSET, 0.0), complex(-LAUNCH_OFFSET, 0.0),
+                 complex(0.0, LAUNCH_OFFSET), complex(0.0, -LAUNCH_OFFSET))
 
 #: chart radius around the far endpoint at which a radial trace stops and
 #: hands over to the analytic cone stub (also bounds the endpoint defect)
@@ -45,6 +60,12 @@ ARRIVAL_RADIUS = 5e-7
 
 #: chart radius of the ball around 1 that a lifted 0-1 arc must enter
 ARC_ARRIVAL_RADIUS = 1e-2
+
+#: the arc lift gives up below this step in s, or after this many steps
+_ARC_MIN_STEP = 1e-14
+_ARC_MAX_STEPS = 20_000
+
+_ULP = sys.float_info.epsilon
 
 
 @dataclass
@@ -322,18 +343,31 @@ def _arc_preimage(params: MetricParams, z0: complex, phi: float,
                   mod_target: float, stop_center: complex, stop_radius: float):
     """Lift the great-circle arc from F(z0) to mod_target e^{i phi} back to the chart.
 
-    The starting branch is fixed by taking F(z0) positive real; the arc is
-    the minor great circle between the two developed images and its preimage
-    obeys dz/ds = (w'/w) / f(z).  When |F(z0)| > 1 the arc of 1/F is lifted
-    instead (phase -phi, right-hand side negated): w -> 1/w is a rotation of
-    the sphere, so it is the same curve, while near infinity the projection
-    factor 1 - w_z would cancel most of its digits.  Integration stops when
-    z enters the ``stop_radius`` ball around ``stop_center``.  Returns
-    ``(s_end, sol)``, the arc parameter at arrival and the dense solution
-    of the trace, or None when the arc is degenerate or its preimage never
-    reaches the ball.
+    The starting branch is fixed by taking F(z0) positive real; the arc w(s),
+    s in [0, 1], is the minor great circle between the two developed images.
+    Its preimage solves Q(z) = log w(s) with Q(z) = sigma log F(z), which is
+    continued by Newton steps: Q is carried from node to node as
+    Q(z') = Q(z) + sigma sum_k r_k log((z' - p_k) / (z - p_k)), starting from
+    the real Q(z0) = log|F(z0)|, and the target by the increments
+    log(w(s') / w(s)).  Each step predicts z' = z + (log w(s') - Q(z)) / (sigma f(z)),
+    accepts the prediction only when it moves z by at most a quarter of the
+    chart distance to the nearest pole or finite zero, and then corrects it
+    with at most four Newton steps; otherwise ds is halved.  When
+    |F(z0)| > 1 the arc of 1/F is lifted instead (sigma = -1, phase -phi):
+    w -> 1/w is a rotation of the sphere, so it is the same curve, while near
+    infinity the projection factor 1 - w_z would cancel most of its digits.
+
+    Returns ``(s_end, lift)`` once z enters the ``stop_radius`` ball around
+    ``stop_center``: ``s_end`` is the arc parameter at the ball's boundary,
+    and ``lift`` maps an array of s in [0, s_end] to the chart coordinates
+    ``(xs, ys)``, each found by Newton from the nearest step node at or below
+    it.  Returns None when the arc is degenerate or runs over a projection
+    pole, or when its preimage comes within 1e-9 of a pole, leaves
+    ``|z| <= 1e3``, stalls (``ds < 1e-14``, or 20 000 steps), or reaches
+    s = 1 outside the ball.
     """
     form = params.form
+    positions, residues = form.positions, form.residues
     mod_start = developing_modulus(params, z0)
     sign = 1.0
     if mod_start > 1.0:
@@ -345,53 +379,151 @@ def _arc_preimage(params: MetricParams, z0: complex, phi: float,
     if omega < 1e-12 or omega > math.pi - 1e-9:
         return None
     sin_omega = math.sin(omega)
+    signed = tuple(sign * r for r in residues)
+    marks = positions + tuple(q for q, _ in finite_zeros(form))
 
-    def log_derivative(s: float) -> complex:
-        ca, cb = math.sin((1.0 - s) * omega), math.sin(s * omega)
-        da, db = -omega * math.cos((1.0 - s) * omega), omega * math.cos(s * omega)
-        wx = (ca * ax + cb * bx) / sin_omega
-        wy = (ca * ay + cb * by) / sin_omega
-        wz = (ca * az + cb * bz) / sin_omega
-        dx = (da * ax + db * bx) / sin_omega
-        dy = (da * ay + db * by) / sin_omega
-        dz = (da * az + db * bz) / sin_omega
-        horizontal = complex(wx, wy)
-        vertical = 1.0 - wz
+    def developed(s: float) -> complex | None:
+        """w(s) on the arc, or None at a projection pole."""
+        ca = math.sin((1.0 - s) * omega) / sin_omega
+        cb = math.sin(s * omega) / sin_omega
+        horizontal = complex(ca * ax + cb * bx, ca * ay + cb * by)
+        vertical = 1.0 - (ca * az + cb * bz)
         if abs(horizontal) < 1e-14 or abs(vertical) < 1e-14:
-            raise ZeroDivisionError("arc ran over a projection pole")
-        return complex(dx, dy) / horizontal + dz / vertical
+            return None
+        return horizontal / vertical
 
-    def rhs(s, y):
-        f, _ = _coefficient_and_potential(form, complex(y[0], y[1]), False)
-        v = log_derivative(s) / (sign * f)
-        return [v.real, v.imag]
+    def correct(z: complex, q: complex, z_new: complex, target: complex):
+        """Newton from the guess z_new toward Q = target, Q carried from (z, q).
 
-    def reached(s, y):
-        return abs(complex(y[0], y[1]) - stop_center) - stop_radius
+        Returns (z', Q(z'), sigma f(z')), or None if four corrections do not
+        bring the residual down to a few ulp: of max(1, |target|), and of
+        |z'| sum_k |r_k / (z' - p_k)|, the digits log(z' - p_k) loses next to
+        a pole.
+        """
+        for attempt in range(5):
+            f = 0j
+            spread = 0.0
+            q_new = q
+            for p, r in zip(positions, signed):
+                d = z_new - p
+                if d == 0.0:
+                    return None
+                f += r / d
+                spread += abs(r / d)
+                q_new += r * cmath.log(d / (z - p))
+            residual = q_new - target
+            if abs(residual) <= 4.0 * _ULP * (max(1.0, abs(target)) + abs(z_new) * spread):
+                return z_new, q_new, f
+            if attempt == 4 or f == 0.0:
+                return None
+            z_new -= residual / f
 
-    reached.terminal = True
-
-    def escaped(s, y):
-        return 1.0e3 - math.hypot(y[0], y[1])
-
-    escaped.terminal = True
-
-    def near_pole(s, y):
-        z = complex(y[0], y[1])
-        return min(abs(z - p.position) for p in form.poles) - 1e-9
-
-    near_pole.terminal = True
-
-    try:
-        sol = solve_ivp(rhs, (0.0, 1.0), [z0.real, z0.imag],
-                        method="DOP853", dense_output=True,
-                        events=[reached, escaped, near_pole],
-                        rtol=1e-10, atol=1e-13)
-    except (EvalAtPole, ZeroDivisionError):
+    s, z, q, w = 0.0, z0, complex(math.log(mod_start), 0.0), developed(0.0)
+    if w is None:
         return None
-    if not sol.success or not len(sol.t_events[0]):
-        return None
-    return float(sol.t_events[0][0]), sol.sol
+    target = q
+    f, _ = _coefficient_and_potential(form, z0, False)
+    f *= sign
+    nodes = [(s, z, q, target, w, f)]
+    reach = 0.25 * min(abs(z - m) for m in marks)
+    ds = 1.0 / 64.0
+    for _ in range(_ARC_MAX_STEPS):
+        if ds < _ARC_MIN_STEP:
+            return None
+        s_new = min(1.0, s + ds)
+        w_new = developed(s_new)
+        if w_new is None:
+            return None
+        target_new = target + cmath.log(w_new / w)
+        guess = (target_new - q) / f
+        if abs(guess) > reach:
+            ds *= 0.5
+            continue
+        step = correct(z, q, z + guess, target_new)
+        # a correction that moved z by over half the distance to the nearest
+        # pole or zero may have changed branch of the log, or sheet at the zero
+        if step is None or abs(step[0] - z) > 2.0 * reach:
+            ds *= 0.5
+            continue
+        z_new, q_new, f_new = step
+        if min(abs(z_new - p) for p in positions) < 1e-9 or abs(z_new) > 1e3:
+            return None
+        if abs(z_new - stop_center) <= stop_radius:
+            s_end = _arrival(nodes[-1], s_new, developed, correct, stop_center, stop_radius)
+            return s_end, _node_lift(nodes, signed, positions, omega, sin_omega, a, b)
+        if s_new == 1.0:
+            return None
+        moved = abs(z_new - z)
+        reach = 0.25 * min(abs(z_new - m) for m in marks)
+        # aim the next prediction at 80% of the distance it may move
+        ds *= min(2.0, 0.8 * reach / moved) if moved else 2.0
+        s, z, q, target, w, f = s_new, z_new, q_new, target_new, w_new, f_new
+        nodes.append((s, z, q, target, w, f))
+    return None
+
+
+def _arrival(node, s_out: float, developed, correct, center: complex, radius: float) -> float:
+    """The s in (node s, s_out] at which the lift enters the ``radius`` ball.
+
+    Illinois regula falsi on the signed gap |z(s) - center| - radius, each
+    z(s) found by Newton from ``node``, the last node outside the ball.
+    """
+    s0, z0, q0, t0, w0, f0 = node
+
+    def gap_at(s: float) -> float:
+        target = t0 + cmath.log(developed(s) / w0)
+        guess = z0 + (target - q0) / f0
+        step = correct(z0, q0, guess, target)
+        return abs((guess if step is None else step[0]) - center) - radius
+
+    lo, g_lo = s0, abs(z0 - center) - radius
+    hi, g_hi = s_out, gap_at(s_out)
+    side = 0
+    for _ in range(60):
+        s = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        if not lo < s < hi:
+            break
+        g = gap_at(s)
+        if abs(g) <= 4.0 * _ULP:
+            return s
+        if g > 0.0:
+            lo, g_lo = s, g
+            g_hi *= 0.5 if side == -1 else 1.0
+            side = -1
+        else:
+            hi, g_hi = s, g
+            g_lo *= 0.5 if side == 1 else 1.0
+            side = 1
+    return hi
+
+
+def _node_lift(nodes, signed, positions, omega, sin_omega, a, b):
+    """Vectorised lift of arc parameters from the continuation's nodes."""
+    node_s = np.array([n[0] for n in nodes])
+    node_z, node_q, node_t, node_w, node_f = (
+        np.array([n[i] for n in nodes], dtype=complex) for i in range(1, 6))
+    ax, ay, az = a
+    bx, by, bz = b
+
+    def lift(s):
+        s = np.asarray(s, dtype=float)
+        k = np.clip(np.searchsorted(node_s, s, side="right") - 1, 0, len(nodes) - 1)
+        ca = np.sin((1.0 - s) * omega) / sin_omega
+        cb = np.sin(s * omega) / sin_omega
+        w = (ca * ax + cb * bx + 1j * (ca * ay + cb * by)) / (1.0 - (ca * az + cb * bz))
+        target = node_t[k] + np.log(w / node_w[k])
+        zk, qk = node_z[k], node_q[k]
+        z = zk + (target - qk) / node_f[k]
+        for _ in range(6):
+            f = np.zeros_like(z)
+            q = qk.copy()
+            for p, r in zip(positions, signed):
+                f += r / (z - p)
+                q += r * np.log((z - p) / (zk - p))
+            z = z - (q - target) / f
+        return z.real, z.imag
+
+    return lift
 
 
 # ---------------------------------------------------------------------------
@@ -422,35 +554,13 @@ def spherical_angle(a_opposite: float, b: float, c: float) -> float:
     return math.acos(arg)
 
 
-def l01_side(params: MetricParams) -> tuple[float, float]:
-    """The 0-1 side ``L01`` and its developing phase ``phi`` in [-pi, pi].
+def _l01_candidates(params: MetricParams) -> list[tuple[float, float, complex]]:
+    """Every 0-1 path class from every launch point, as (L01, phi, z0), shortest first.
 
-    F(0), F(1) and infinity span a spherical triangle whose legs ell1, ell2
-    meet at infinity at the angle |phi|, so ``L01`` follows from the law of
-    cosines, taken in haversine form,
-
-        hav L01 = hav(ell1 - ell2) + sin ell1 sin ell2 hav phi,
-
-    because acos loses the digits of the tiny sides that occur.  A path
-    class from 0 to 1 develops with phase phi_seg + 2 pi sum_k n_k r_k,
-    where phi_seg = sum_k r_k Arg((1 - p_k) / (z0 - p_k)) is the phase along
-    the straight segment from the launch point z0 = LAUNCH_OFFSET and n_k
-    counts the turns around pole k.  Classes with every n_k in {-1, 0, 1}
-    are tried shortest first; one is realized when its developed arc lifts
-    from z0 into the ARC_ARRIVAL_RADIUS ball around 1 without meeting a
-    cone.  Raises :class:`EndpointNotReached` when none lifts.
+    The sort is stable, so equal sides keep the order of ``LAUNCH_POINTS``.
     """
-    z0 = complex(LAUNCH_OFFSET, 0.0)
     ell1, ell2 = three_football_lengths(params)
     poles = params.form.poles
-    phi_seg = math.fsum(p.residue * cmath.phase((1.0 - p.position) / (z0 - p.position))
-                        for p in poles)
-    phases: dict[float, float] = {}  # one entry per distinct phase mod 2 pi
-    for turns in itertools.product((-1, 0, 1), repeat=len(poles)):
-        phi = math.remainder(
-            phi_seg + 2.0 * math.pi * math.fsum(n * p.residue for n, p in zip(turns, poles)),
-            2.0 * math.pi)
-        phases.setdefault(round(phi, 12), phi)
 
     def hav(x: float) -> float:
         return math.sin(0.5 * x) ** 2
@@ -459,12 +569,49 @@ def l01_side(params: MetricParams) -> tuple[float, float]:
         h = hav(ell1 - ell2) + math.sin(ell1) * math.sin(ell2) * hav(phi)
         return 2.0 * math.asin(math.sqrt(min(1.0, h)))
 
+    out = []
+    for z0 in LAUNCH_POINTS:
+        phi_seg = math.fsum(p.residue * cmath.phase((1.0 - p.position) / (z0 - p.position))
+                            for p in poles)
+        phases: dict[float, float] = {}  # one entry per distinct phase mod 2 pi
+        for turns in itertools.product((-1, 0, 1), repeat=len(poles)):
+            phi = math.remainder(
+                phi_seg + 2.0 * math.pi * math.fsum(n * p.residue for n, p in zip(turns, poles)),
+                2.0 * math.pi)
+            phases.setdefault(round(phi, 12), phi)
+        out += [(side(phi), phi, z0) for phi in phases.values()]
+    out.sort(key=lambda cand: cand[0])
+    return out
+
+
+def l01_side(params: MetricParams) -> tuple[float, float, complex]:
+    """The 0-1 side ``L01``, its developing phase ``phi`` in [-pi, pi] and launch point.
+
+    F(0), F(1) and infinity span a spherical triangle whose legs ell1, ell2
+    meet at infinity at the angle |phi|, so ``L01`` follows from the law of
+    cosines, taken in haversine form,
+
+        hav L01 = hav(ell1 - ell2) + sin ell1 sin ell2 hav phi,
+
+    because acos loses the digits of the tiny sides that occur.  The zero at
+    0 is a cone of angle 4 pi, so the four launch points ``LAUNCH_POINTS``
+    (chart offset ``LAUNCH_OFFSET`` along +-1 and +-i) lie on its two sheets
+    and start different path classes.  A class from z0 to 1 develops with
+    phase phi_seg + 2 pi sum_k n_k r_k, where
+    phi_seg = sum_k r_k Arg((1 - p_k) / (z0 - p_k)) is the phase along the
+    straight segment from z0 and n_k counts the turns around pole k.  The
+    classes with every n_k in {-1, 0, 1}, from all four launch points, are
+    tried shortest first; one is realized when its developed arc lifts from
+    z0 into the ARC_ARRIVAL_RADIUS ball around 1 without meeting a cone
+    (:func:`_arc_preimage`).  Returns ``(L01, phi, z0)`` of the first that
+    lifts, and raises :class:`EndpointNotReached` when none does.
+    """
     mod1 = developing_modulus(params, 1.0)
-    for length, phi in sorted((side(phi), phi) for phi in phases.values()):
+    for length, phi, z0 in _l01_candidates(params):
         if _arc_preimage(params, z0, phi, mod1, 1.0 + 0.0j, ARC_ARRIVAL_RADIUS) is not None:
-            return length, phi
+            return length, phi, z0
     raise EndpointNotReached(
-        f"no developed 0-1 arc lifts from the launch point {z0} into the "
+        f"no developed 0-1 arc lifts from the launch points {LAUNCH_POINTS} into the "
         f"{ARC_ARRIVAL_RADIUS:g} ball around 1")
 
 
@@ -478,5 +625,5 @@ def decomposition_report(params: ThreeFootballParams) -> TriangleReport:
     """
     mp = three_football_metric(params)
     ell1, ell2 = three_football_lengths(mp)
-    l01, phi = l01_side(mp)
+    l01, phi, _ = l01_side(mp)
     return TriangleReport(ell1=ell1, ell2=ell2, L01=l01, theta=abs(phi))

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -80,6 +81,21 @@ def test_report_exit_code_matches_payload(capsys, p_beta):
     assert ("error" in payload) == (code == 1)
     if code == 0:
         assert set(payload) == {"ell1", "ell2", "L01", "theta"}
+
+
+@pytest.mark.parametrize("p_beta", ["0.3+0.2i", "0.5"])
+def test_report_prints_one_triangle_and_nothing_else(capsys, p_beta):
+    # the whole output is one JSON object with the four sides and angle:
+    # no warning of Python or numpy, and nothing on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["report", "--family", "threefb", "--special", "--pbeta", p_beta])
+    captured = capsys.readouterr()
+    assert code == 0, captured.out
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert isinstance(payload, dict)
+    assert set(payload) == {"ell1", "ell2", "L01", "theta"}
 
 
 @pytest.mark.parametrize("config", [

@@ -1,11 +1,15 @@
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
-from conemetrics import forms, geodesics
-from conemetrics.errors import DegenerateTriangle, TraceDiverged
+from conemetrics import forms, geodesics, metric
+from conemetrics.errors import DegenerateTriangle, EvalAtPole, TraceDiverged
 from conemetrics.families import (
     AngleTriple,
     Branch,
@@ -291,29 +295,55 @@ def test_report_triangle_has_positive_excess(special_reports):
     assert t1 + t2 + t3 > math.pi
 
 
-@pytest.mark.parametrize("angles,p_beta,branch,c_amp", [
-    pytest.param(special_case_angles(), 0.3 + 0.2j, Branch.MINUS, 1.0,
-                 id="special-0.3+0.2i"),
-    pytest.param(special_case_angles(), 0.4 + 0.1j, Branch.MINUS, 1.0,
-                 id="special-0.4+0.1i"),
-    pytest.param(AngleTriple(0.7, 0.45, 0.6), 0.4 + 0.3j, Branch.MINUS, 1.0,
-                 id="generic-0.4+0.3i"),
+#: football configurations for the 0-1 side, by the ids the tests print
+FOOTBALLS = {
+    "special-0.3+0.2i": (special_case_angles(), 0.3 + 0.2j, Branch.MINUS, 1.0),
+    "special-0.4+0.1i": (special_case_angles(), 0.4 + 0.1j, Branch.MINUS, 1.0),
+    "special-0.5": (special_case_angles(), 0.5 + 0.0j, Branch.MINUS, 1.0),
+    "generic-0.4+0.3i": (AngleTriple(0.7, 0.45, 0.6), 0.4 + 0.3j, Branch.MINUS, 1.0),
     # both legs ~1e-4 and L01 ~2e-7: F(0) and F(1) sit next to infinity
-    pytest.param(AngleTriple(1.6608963350394228, 0.8796779344638384, 1.0900366542797937),
-                 complex(-1.1074095757031515, 1.1424316500515466), Branch.MINUS,
-                 0.7003547356241373, id="ill-conditioned"),
-])
-def test_l01_agrees_with_arc_prediction(angles, p_beta, branch, c_amp):
+    "ill-conditioned": (
+        AngleTriple(1.6608963350394228, 0.8796779344638384, 1.0900366542797937),
+        complex(-1.1074095757031515, 1.1424316500515466), Branch.MINUS, 0.7003547356241373),
+    # seeded generic footballs (alpha, beta, gamma, p_beta, branch, c_amp)
+    "seeded-0": (AngleTriple(0.9710615228065242, 0.27482320278005584, 0.7211250491091048),
+                 complex(0.2170458470113621, -0.47784025417729703), Branch.MINUS,
+                 0.6777627722021382),
+    "seeded-1": (AngleTriple(0.7849110281035603, 1.6960161533617053, 0.8794993164142155),
+                 complex(0.6365810070426567, -0.4072599683944087), Branch.MINUS,
+                 0.25735752727024286),
+    "seeded-2": (AngleTriple(0.5352380008372493, 0.5838368073194037, 1.0513278238693402),
+                 complex(-1.0607119402740133, -1.3455340596180707), Branch.PLUS,
+                 0.3621265435836514),
+    "seeded-3": (AngleTriple(1.6530364103257704, 1.697576937884984, 1.4433167321470777),
+                 complex(-0.3601908442462445, 0.6789392050808414), Branch.MINUS,
+                 1.5165084589317175),
+    "seeded-4": (AngleTriple(1.262185317773029, 0.29647508489840785, 0.4115199854069033),
+                 complex(-1.2263597072434105, 0.6926186654378874), Branch.MINUS,
+                 2.9675725092831224),
+    "seeded-5": (AngleTriple(1.0450506072013837, 0.6477733855907936, 1.759546764689519),
+                 complex(0.4394353241487714, -0.1539598972220353), Branch.PLUS,
+                 3.94175280536217),
+}
+
+
+def football_metric(name):
+    return three_football_metric(make_three_football(*FOOTBALLS[name]))
+
+
+@pytest.mark.parametrize("name", ["special-0.3+0.2i", "special-0.4+0.1i", "special-0.5",
+                                  "generic-0.4+0.3i", "ill-conditioned"])
+def test_l01_agrees_with_arc_prediction(name):
     # the law-of-cosines side must agree with the metric length of the
     # lifted arc itself, integrated independently along its chart samples
     # and completed by the two closed-form cone stubs
-    mp = three_football_metric(make_three_football(angles, p_beta, branch, c_amp))
-    l01, phi = l01_side(mp)
-    z0 = complex(geodesics.LAUNCH_OFFSET, 0.0)
-    s_end, sol = geodesics._arc_preimage(mp, z0, phi, developing_modulus(mp, 1.0),
-                                         1.0 + 0.0j, geodesics.ARC_ARRIVAL_RADIUS)
-    xs, ys = sol(np.linspace(0.0, s_end, 20001))
+    mp = football_metric(name)
+    l01, phi, z0 = l01_side(mp)
+    s_end, lift = geodesics._arc_preimage(mp, z0, phi, developing_modulus(mp, 1.0),
+                                          1.0 + 0.0j, geodesics.ARC_ARRIVAL_RADIUS)
+    xs, ys = lift(np.linspace(0.0, s_end, 20001))
     samples = [complex(x, y) for x, y in zip(xs, ys)]
+    assert abs(samples[0] - z0) <= 1e-9
     z_stop = samples[-1]
     total = (float(vertex_distance(mp, 0.0, z0))
              + path_length(mp, samples)
@@ -321,3 +351,141 @@ def test_l01_agrees_with_arc_prediction(angles, p_beta, branch, c_amp):
     assert abs(total - l01) <= 1e-6
     if l01 < 1e-6:
         assert abs(total - l01) <= 1e-5 * l01
+
+
+def dop853_arc_preimage(params, z0, phi, mod_target, stop_center, stop_radius):
+    """The arc lift as an ODE, dz/ds = (w'/w) / (sigma f(z)), integrated by DOP853.
+
+    The reference for the Newton continuation in ``geodesics._arc_preimage``:
+    same arc, same 1/F swap, same exits, but every decision comes from
+    scipy's event location.  Returns ``(s_end, dense solution)`` or None.
+    """
+    form = params.form
+    mod_start = developing_modulus(params, z0)
+    sign = 1.0
+    if mod_start > 1.0:
+        mod_start, mod_target, phi, sign = 1.0 / mod_start, 1.0 / mod_target, -phi, -1.0
+    ax, ay, az = a = geodesics._lift_to_sphere(complex(mod_start, 0.0))
+    bx, by, bz = b = geodesics._lift_to_sphere(mod_target * cmath.exp(1j * phi))
+    omega = 2.0 * math.asin(min(1.0, 0.5 * math.dist(a, b)))
+    if omega < 1e-12 or omega > math.pi - 1e-9:
+        return None
+    sin_omega = math.sin(omega)
+
+    def log_derivative(s):
+        ca, cb = math.sin((1.0 - s) * omega), math.sin(s * omega)
+        da, db = -omega * math.cos((1.0 - s) * omega), omega * math.cos(s * omega)
+        wx = (ca * ax + cb * bx) / sin_omega
+        wy = (ca * ay + cb * by) / sin_omega
+        wz = (ca * az + cb * bz) / sin_omega
+        dx = (da * ax + db * bx) / sin_omega
+        dy = (da * ay + db * by) / sin_omega
+        dz = (da * az + db * bz) / sin_omega
+        horizontal = complex(wx, wy)
+        vertical = 1.0 - wz
+        if abs(horizontal) < 1e-14 or abs(vertical) < 1e-14:
+            raise ZeroDivisionError("arc ran over a projection pole")
+        return complex(dx, dy) / horizontal + dz / vertical
+
+    def rhs(s, y):
+        f, _ = geodesics._coefficient_and_potential(form, complex(y[0], y[1]), False)
+        v = log_derivative(s) / (sign * f)
+        return [v.real, v.imag]
+
+    def reached(s, y):
+        return abs(complex(y[0], y[1]) - stop_center) - stop_radius
+
+    def escaped(s, y):
+        return 1.0e3 - math.hypot(y[0], y[1])
+
+    def near_pole(s, y):
+        return min(abs(complex(y[0], y[1]) - p) for p in form.positions) - 1e-9
+
+    for event in (reached, escaped, near_pole):
+        event.terminal = True
+    try:
+        sol = solve_ivp(rhs, (0.0, 1.0), [z0.real, z0.imag], method="DOP853",
+                        dense_output=True, events=[reached, escaped, near_pole],
+                        rtol=1e-10, atol=1e-13)
+    except (EvalAtPole, ZeroDivisionError):
+        return None
+    if not sol.success or not len(sol.t_events[0]):
+        return None
+    return float(sol.t_events[0][0]), sol.sol
+
+
+@pytest.mark.parametrize("name", ["special-0.3+0.2i", "special-0.4+0.1i", "special-0.5",
+                                  "generic-0.4+0.3i", "ill-conditioned"])
+def test_arc_lift_decisions_match_dop853(name):
+    # every path class from every launch point: the continuation realizes
+    # exactly the classes the ODE realizes, along the same curve
+    mp = football_metric(name)
+    mod1 = developing_modulus(mp, 1.0)
+    candidates = geodesics._l01_candidates(mp)
+    assert {z0 for _, _, z0 in candidates} == set(geodesics.LAUNCH_POINTS)
+    realized = 0
+    for _, phi, z0 in candidates:
+        new = geodesics._arc_preimage(mp, z0, phi, mod1, 1.0 + 0.0j, geodesics.ARC_ARRIVAL_RADIUS)
+        old = dop853_arc_preimage(mp, z0, phi, mod1, 1.0 + 0.0j, geodesics.ARC_ARRIVAL_RADIUS)
+        assert (new is None) == (old is None), (phi, z0)
+        if new is None:
+            continue
+        realized += 1
+        s = np.linspace(0.0, 0.999 * min(new[0], old[0]), 201)
+        xn, yn = new[1](s)
+        xo, yo = old[1](s)
+        assert np.max(np.hypot(xn - xo, yn - yo)) <= 1e-6, (phi, z0)
+    assert realized
+
+
+def test_l01_side_lifts_from_both_sheets():
+    # the shortest class of the anchor and of 0.4+0.1i starts on the sheets
+    # of the 4 pi cone at 0 that the +x launch point misses
+    l01, phi, z0 = l01_side(football_metric("special-0.5"))
+    assert (l01, abs(phi)) == (pytest.approx(2.1774506, abs=1e-7),
+                               pytest.approx(0.6506451, abs=1e-7))
+    assert z0 != geodesics.LAUNCH_POINTS[0]
+    l01, _, z0 = l01_side(football_metric("special-0.4+0.1i"))
+    assert l01 == pytest.approx(0.18363, abs=1e-5)
+    assert z0 != geodesics.LAUNCH_POINTS[0]
+
+
+def graph_distance(mp, n=401, half=4.0):
+    """d(0, 1) as a shortest path on a 16-direction grid graph over [-half, half]^2.
+
+    Each edge weighs the Simpson mean of lambda along it times its chart
+    length.  A graph path is a real path, so up to quadrature error this
+    overestimates the distance, by the detour the 16 directions force.
+    """
+    h = 2.0 * half / (n - 1)
+
+    def lam(i, j):
+        return np.sqrt(metric._evaluate(mp, (-half + h * j) + 1j * (-half + h * i))[2])
+
+    index = np.arange(n * n).reshape(n, n)
+    ii, jj = np.mgrid[0:n, 0:n].astype(float)
+    lam_nodes = lam(ii, jj)
+    rows, cols, weights = [], [], []
+    for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1)):
+        rs, cs = slice(0, n - di), slice(max(0, -dj), n - max(0, dj))
+        rt, ct = slice(di, n), slice(max(0, dj), n - max(0, -dj))
+        mid = lam(ii[rs, cs] + 0.5 * di, jj[rs, cs] + 0.5 * dj)
+        w = (lam_nodes[rs, cs] + 4.0 * mid + lam_nodes[rt, ct]) / 6.0 * h * math.hypot(di, dj)
+        ok = np.isfinite(w)  # drop the edges through a pole
+        rows.append(index[rs, cs][ok])
+        cols.append(index[rt, ct][ok])
+        weights.append(w[ok])
+    graph = coo_matrix((np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(n * n, n * n)).tocsr()
+    centre = (n - 1) // 2
+    dist = dijkstra(graph, directed=False, indices=index[centre, centre])
+    return dist[index[centre, centre + round(1.0 / h)]]
+
+
+@pytest.mark.parametrize("name", list(FOOTBALLS))
+def test_l01_side_matches_a_graph_distance_oracle(name):
+    # L01 is the metric distance d(0, 1): no path of the grid graph is
+    # shorter, and the graph's detour stays within its 1.5% discretization
+    mp = football_metric(name)
+    ratio = graph_distance(mp) / l01_side(mp)[0]
+    assert 1.0 <= ratio <= 1.015

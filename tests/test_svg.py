@@ -109,3 +109,18 @@ def test_plot_draws_every_geodesic_deterministically(capsys, tmp_path, flags, ma
     assert len(re.findall(r'<polyline class="geodesic"', text)) == 4
     assert "warning" not in text
     assert '<path class="levelset"' in text
+
+
+def test_plot_retries_a_pole_geodesic_from_the_opposite_launch(capsys, tmp_path):
+    # toward P_alpha the default launch direction leaves the admissible
+    # region; the opposite direction reaches the pole, so all three pole
+    # geodesics are drawn and only the one toward infinity may be missing
+    flags = ["--family", "threefb", "--alpha", "1.6530364103257704",
+             "--beta", "1.697576937884984", "--gamma", "1.4433167321470777",
+             "--pbeta", "-0.3601908442462445+0.6789392050808414i", "--branch", "minus",
+             "--camp", "1.5165084589317175"]
+    assert cli.main(["plot", *flags, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "plot.svg").read_text()
+    assert len(re.findall(r'<polyline class="geodesic"', text)) >= 3
+    assert re.findall(r"warning: trace toward (\S+)", text) in ([], ["INFINITY"])
