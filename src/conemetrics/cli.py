@@ -372,17 +372,18 @@ def cmd_sample(cfg: RunConfig) -> int:
 def _plot_traces(canvas: svg.SvgCanvas, mp: MetricParams, targets) -> None:
     """targets: iterable of (endpoint, color, launches).
 
-    ``launches`` lists the launch directions to try in turn (None picks one
-    by the endpoint's direction); the first trace that arrives is drawn.
-    When none arrives, the warning names the failure of the first launch.
+    ``launches`` lists the ``(start, direction)`` pairs to try in turn: the
+    zero the trace leaves, and its launch direction there (None picks one by
+    the endpoint's direction).  The first trace that arrives is drawn.  When
+    none arrives, the warning names the failure of the first launch.
     """
     for target, color, launches in targets:
         clip = 10.0 if target is INFINITY else None
         failure = None
-        for launch in launches:
+        for start, direction in launches:
             try:
                 path = geodesics.trace_radial_preimage(
-                    mp, 0.0, target, n=240, launch_dir=launch, clip_radius=clip)
+                    mp, start, target, n=240, launch_dir=direction, clip_radius=clip)
             except ConeMetricError as exc:
                 failure = failure or exc
                 continue
@@ -392,10 +393,10 @@ def _plot_traces(canvas: svg.SvgCanvas, mp: MetricParams, targets) -> None:
             canvas.add_comment(f"warning: trace toward {target} failed: {failure}")
 
 
-def _pole_launches(mp: MetricParams, pole: complex) -> tuple:
-    """Launches toward a pole: the default pick (None), then the opposite direction."""
+def _pole_launches(mp: MetricParams, start: float, pole: complex) -> list:
+    """Launches from the zero ``start`` toward a pole: the default pick, then the opposite."""
     residue = next(p.residue for p in mp.form.poles if abs(p.position - pole) <= 1e-9)
-    return None, -geodesics._default_launch(mp, 0.0, pole, residue < 0.0)
+    return [(start, None), (start, -geodesics._default_launch(mp, start, pole, residue < 0.0))]
 
 
 def _log_modulus(mp: MetricParams, z: np.ndarray) -> np.ndarray:
@@ -431,10 +432,10 @@ def cmd_plot(cfg: RunConfig) -> int:
         pole_gb = complex(-hp.gamma / hp.beta, 0.0)
         inc = geodesics.launch_directions(mp, 0.0, increasing=True)
         _plot_traces(canvas, mp, [
-            (1.0 + 0.0j, "#cc2222", _pole_launches(mp, 1.0 + 0.0j)),
-            (pole_gb, "#22aa44", _pole_launches(mp, pole_gb)),
-            (INFINITY, "#cc2222", inc[:1]),
-            (INFINITY, "#22aa44", inc[1:]),
+            (1.0 + 0.0j, "#cc2222", _pole_launches(mp, 0.0, 1.0 + 0.0j)),
+            (pole_gb, "#22aa44", _pole_launches(mp, 0.0, pole_gb)),
+            (INFINITY, "#cc2222", [(0.0, inc[0])]),
+            (INFINITY, "#22aa44", [(0.0, inc[1])]),
         ])
         canvas.add_mark(0.0 + 0.0j, "0")
         canvas.add_mark(1.0 + 0.0j, "1")
@@ -443,12 +444,12 @@ def cmd_plot(cfg: RunConfig) -> int:
     else:
         p_beta, p_alpha, p_gamma = mp.form.positions
         inc = geodesics.launch_directions(mp, 0.0, increasing=True)
+        # a pole that no radial geodesic from 0 reaches may still be reached
+        # from the zero at 1, so the launches from 1 follow those from 0
         _plot_traces(canvas, mp, [
-            (p_alpha, "#cc2222", _pole_launches(mp, p_alpha)),
-            (p_gamma, "#cc2222", _pole_launches(mp, p_gamma)),
-            (p_beta, "#22aa44", _pole_launches(mp, p_beta)),
-            (INFINITY, "#22aa44", inc),
-        ])
+            (pole, color, _pole_launches(mp, 0.0, pole) + _pole_launches(mp, 1.0, pole))
+            for pole, color in ((p_alpha, "#cc2222"), (p_gamma, "#cc2222"), (p_beta, "#22aa44"))
+        ] + [(INFINITY, "#22aa44", [(0.0, u) for u in inc])])
         canvas.add_mark(0.0 + 0.0j, "0")
         canvas.add_mark(1.0 + 0.0j, "1")
         canvas.add_mark(p_alpha, "P_alpha")

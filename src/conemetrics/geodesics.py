@@ -17,11 +17,13 @@ realized, and to the radial traces drawn by ``plot`` and checked by
 chart without meeting a cone; the lift solves log F(z) = log w(s) by Newton
 continuation along the arc, with the branch of log F carried step by step.
 The zero at 0 is a cone of angle 4 pi, so classes are launched from four
-points around it, on both of its sheets.  The radial traces integrate
-dz/dtau = 1/f(z) with scipy's DOP853.  Cone points are honest metric points
-but the flow degenerates there, so traces launch from small chart offsets;
-the missing cone-approach stubs are the closed-form distances to the vertex
-(``metric.vertex_distance``) and are added back.
+points around it, on both of its sheets.  The radial traces solve
+log F(z) = tau for real tau = log |F| the same way, by one continuation
+core (:func:`_continue`), so that their length is closed-form too.  Cone
+points are honest metric points but the continuation degenerates there, so
+paths launch from small chart offsets; the missing cone-approach stubs are
+the closed-form distances to the vertex (``metric.vertex_distance``) and are
+added back.
 """
 
 from __future__ import annotations
@@ -34,17 +36,13 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# no longer called: kept bound here because the benchmark's tracer
+# (perfbench/spans.py) wraps ``geodesics.solve_ivp`` by name
+from scipy.integrate import solve_ivp  # noqa: F401
 
-from .errors import DegenerateTriangle, EndpointNotReached, EvalAtPole, TraceDiverged
+from .errors import DegenerateTriangle, EndpointNotReached, TraceDiverged
 from .families import ThreeFootballParams, three_football_metric
-from .forms import (
-    INFINITY,
-    POLE_GUARD,
-    CharacterForm,
-    coefficient_derivative_at,
-    finite_zeros,
-)
+from .forms import INFINITY, CharacterForm, coefficient_derivative_at, finite_zeros
 from .metric import MetricParams, density_at, developing_modulus, vertex_distance
 
 #: chart offset from which paths launch out of a cone point
@@ -61,9 +59,9 @@ ARRIVAL_RADIUS = 5e-7
 #: chart radius of the ball around 1 that a lifted 0-1 arc must enter
 ARC_ARRIVAL_RADIUS = 1e-2
 
-#: the arc lift gives up below this step in s, or after this many steps
-_ARC_MIN_STEP = 1e-14
-_ARC_MAX_STEPS = 20_000
+#: the continuation gives up below this step in its parameter, or after this many steps
+_MIN_STEP = 1e-14
+_MAX_STEPS = 20_000
 
 _ULP = sys.float_info.epsilon
 
@@ -149,27 +147,178 @@ def path_length(params: MetricParams, samples) -> float:
 
 
 # ---------------------------------------------------------------------------
-# radial preimage tracing
+# Newton continuation of log F
 
-def _coefficient_and_potential(form: CharacterForm, z: complex, with_potential: bool) -> tuple[complex, float]:
-    """f(z) and, when asked, the potential at z, in one pass over the poles.
+class _Stopped(Exception):
+    """The continuation stopped short of arrival; ``args`` is ``(reason, z)``.
 
-    The scalar path of the ODE right-hand sides: z is not revalidated, and
-    the potential is 0.0 unless ``with_potential``.  Raises EvalAtPole
-    where ``not |z - p| > POLE_GUARD``, which also catches a nan z.
+    ``reason`` is "undefined" (the target has no value at the next step),
+    "pole" (z came within the avoid radius of a pole), "escaped" (z left the
+    escape radius), "stalled" (the step fell below ``_MIN_STEP``, or
+    ``_MAX_STEPS`` steps were taken) or "span" (the parameter ran out).
     """
-    f = 0j
-    potential = 0.0
-    for p, r in zip(form.positions, form.residues):
-        d = z - p
-        dist = abs(d)
-        if not dist > POLE_GUARD:
-            raise EvalAtPole(f"evaluation at {z} is within {dist:.2e} of a pole")
-        f += r / d
-        if with_potential:
-            potential += 2.0 * r * math.log(dist)
-    return f, potential
 
+
+def _correct(positions, signed, z: complex, q: complex, z_new: complex, target: complex):
+    """Newton from the guess z_new toward Q = target, Q carried from (z, q).
+
+    Returns (z', Q(z'), Q'(z')), or None if four corrections do not bring the
+    residual down to a few ulp: of max(1, |target|), and of
+    |z'| sum_k |r_k / (z' - p_k)|, the digits log(z' - p_k) loses next to a
+    pole.
+    """
+    for attempt in range(5):
+        f = 0j
+        spread = 0.0
+        q_new = q
+        for p, r in zip(positions, signed):
+            d = z_new - p
+            if d == 0.0:
+                return None
+            f += r / d
+            spread += abs(r / d)
+            q_new += r * cmath.log(d / (z - p))
+        residual = q_new - target
+        if abs(residual) <= 4.0 * _ULP * (max(1.0, abs(target)) + abs(z_new) * spread):
+            return z_new, q_new, f
+        if attempt == 4 or f == 0.0:
+            return None
+        z_new -= residual / f
+
+
+def _continue(form: CharacterForm, sign: float, z0: complex, q0: complex, start, advance,
+              ds: float | None, s_max: float, gap, avoid, avoid_radius: float, escape: float):
+    """Follow the solution of Q(z) = target(s) from z0 at s = 0 by Newton continuation.
+
+    Q = sign log F = sign (c/2 + sum_k r_k log(z - p_k)) is carried from node
+    to node, Q(z') = Q(z) + sign sum_k r_k log((z' - p_k) / (z - p_k)),
+    starting from ``q0 = Q(z0)``; the branch is the one continued along the
+    steps.  A node is ``(s, z, Q(z), target, aux, Q'(z))``, ``start`` is the
+    first node's ``(target, aux)``, and ``advance(s, node)`` gives
+    ``(target(s), aux)`` from a node, or None where the target is undefined.
+    Each step predicts z' = z + (target(s') - Q(z)) / Q'(z) and accepts the
+    prediction only when it moves z by at most a quarter of the chart
+    distance d(z) to the nearest pole or finite zero; then :func:`_correct`
+    refines it.  A corrected point more than d/2 from z may have changed
+    branch of the log, or sheet at a zero, and is refused.  On a refusal ds
+    is halved; after an accepted step ds is scaled toward a prediction of 80%
+    of the allowed move, at most doubled.  ``ds=None`` starts a unit-speed
+    target (|dtarget/ds| = 1) at that 80% step.
+
+    Returns ``(s_end, nodes)`` once ``gap(z) <= 0``, with s_end where the gap
+    vanishes (:func:`_arrival`).  Raises :class:`_Stopped` when z comes within
+    ``avoid_radius`` of a position in ``avoid``, leaves ``|z| <= escape``, or
+    stalls, or when s reaches ``s_max`` first.
+    """
+    positions = form.positions
+    signed = tuple(sign * r for r in form.residues)
+    marks = positions + tuple(q for q, _ in finite_zeros(form))
+    f = sum(r / (z0 - p) for p, r in zip(positions, signed))
+    s, z, q = 0.0, z0, q0
+    node = (s, z, q, *start, f)
+    nodes = [node]
+    reach = 0.25 * min(abs(z - m) for m in marks)
+    if ds is None:
+        ds = 0.8 * reach * abs(f)
+    for _ in range(_MAX_STEPS):
+        if ds < _MIN_STEP:
+            break
+        s_new = min(s_max, s + ds)
+        step = advance(s_new, node)
+        if step is None:
+            raise _Stopped("undefined", z)
+        target_new, aux_new = step
+        guess = (target_new - q) / f
+        if abs(guess) > reach:
+            ds *= 0.5
+            continue
+        step = _correct(positions, signed, z, q, z + guess, target_new)
+        if step is None or abs(step[0] - z) > 2.0 * reach:
+            ds *= 0.5
+            continue
+        z_new, q_new, f_new = step
+        if min((abs(z_new - p) for p in avoid), default=math.inf) < avoid_radius:
+            raise _Stopped("pole", z_new)
+        if abs(z_new) > escape:
+            raise _Stopped("escaped", z_new)
+        if gap(z_new) <= 0.0:
+            return _arrival(positions, signed, node, s_new, advance, gap), nodes
+        if s_new == s_max:
+            raise _Stopped("span", z_new)
+        moved = abs(z_new - z)
+        reach = 0.25 * min(abs(z_new - m) for m in marks)
+        # aim the next prediction at 80% of the distance it may move
+        ds *= min(2.0, 0.8 * reach / moved) if moved else 2.0
+        s, z, q, f = s_new, z_new, q_new, f_new
+        node = (s, z, q, target_new, aux_new, f)
+        nodes.append(node)
+    raise _Stopped("stalled", z)
+
+
+def _arrival(positions, signed, node, s_out: float, advance, gap) -> float:
+    """The s in (node s, s_out] at which the continuation's gap reaches 0.
+
+    Illinois regula falsi on ``gap(z(s))``, each z(s) found by Newton from
+    ``node``, the last node before arrival.
+    """
+    s0, z0, q0, _, _, f0 = node
+
+    def gap_at(s: float) -> float:
+        target, _ = advance(s, node)
+        guess = z0 + (target - q0) / f0
+        step = _correct(positions, signed, z0, q0, guess, target)
+        return gap(guess if step is None else step[0])
+
+    lo, g_lo = s0, gap(z0)
+    hi, g_hi = s_out, gap_at(s_out)
+    side = 0
+    for _ in range(60):
+        s = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        if not lo < s < hi:
+            break
+        g = gap_at(s)
+        if abs(g) <= 4.0 * _ULP:
+            return s
+        if g > 0.0:
+            lo, g_lo = s, g
+            g_hi *= 0.5 if side == -1 else 1.0
+            side = -1
+        else:
+            hi, g_hi = s, g
+            g_lo *= 0.5 if side == 1 else 1.0
+            side = 1
+    return hi
+
+
+def _node_lift(nodes, positions, signed, targets):
+    """Vectorised lift of parameters s from the continuation's nodes.
+
+    ``targets(s, k)`` is the target at each s, given the index k of the
+    nearest node at or below it; each z is found by Newton from node k.
+    """
+    node_s = np.array([n[0] for n in nodes])
+    node_z, node_q, node_f = (np.array([n[i] for n in nodes], dtype=complex) for i in (1, 2, 5))
+
+    def lift(s):
+        s = np.asarray(s, dtype=float)
+        k = np.clip(np.searchsorted(node_s, s, side="right") - 1, 0, len(nodes) - 1)
+        target = targets(s, k)
+        zk, qk = node_z[k], node_q[k]
+        z = zk + (target - qk) / node_f[k]
+        for _ in range(6):
+            f = np.zeros_like(z)
+            q = qk.copy()
+            for p, r in zip(positions, signed):
+                f += r / (z - p)
+                q += r * np.log((z - p) / (zk - p))
+            z = z - (q - target) / f
+        return z
+
+    return lift
+
+
+# ---------------------------------------------------------------------------
+# radial preimage tracing
 
 def launch_directions(params: MetricParams, a, increasing: bool = False) -> tuple[complex, complex]:
     """The two chart directions in which radial curves leave a simple zero.
@@ -199,19 +348,23 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
                           clip_radius: float | None = None) -> GeodesicPath:
     """Trace the radial geodesic from zero ``a`` toward pole ``b`` (or INFINITY).
 
-    The preimage of the developing ray through F(a) obeys dz/dtau = 1/f(z)
-    with tau = log |F|, so the image modulus is stepped geometrically.  The
-    metric length is integrated alongside, as a third state with
-    d(length)/dtau = lambda |dz/dtau| = 2 sqrt(t) / (1 + t), t = e^{-|s|}:
-    the density's |f|^2 cancels against |1/f|^2, so it stays a quadrature
-    along the traced curve.  The samples follow ``n`` tau-uniform steps,
-    bisected wherever a chord would exceed four mean spacings (the declared
-    consecutive-distance bound).
+    The preimage of the developing ray through F(a) is the curve on which
+    arg F stays constant, parametrized by tau = log |F|.  It solves
+    Q(z) = tau, Q = c/2 + sum_k r_k log(z - p_k), by Newton continuation in
+    tau (:func:`_continue`), from the real Q(z_start) = log |F(z_start)|.
+    Along it the metric length grows by lambda |dz/dtau| = sech tau: the
+    density's |f|^2 cancels against |1/f|^2, so the length between the two
+    ends is 2 |arctan e^tau_end - arctan e^tau_start| in closed form.  The
+    samples are ``n + 1`` tau-uniform points, with every chord longer than
+    four mean spacings bisected in tau (the declared consecutive-distance
+    bound), each lifted from the continuation's nodes.
     Tracing starts at chart offset ``LAUNCH_OFFSET`` from ``a`` and stops at
     ``ARRIVAL_RADIUS`` from ``b`` (or once ``|z| = clip_radius``, if given,
-    for plots running off to infinity).  Both cone stubs are closed-form
-    vertex distances (:func:`~conemetrics.metric.vertex_distance`), included
-    in ``length``.
+    else 2e6, for INFINITY).  Both cone stubs are closed-form vertex
+    distances (:func:`~conemetrics.metric.vertex_distance`), included in
+    ``length``.  Raises :class:`TraceDiverged` when the trace comes within
+    1e-11 of another pole, leaves ``|z| <= 1e3`` toward a finite pole, or
+    stalls, and :class:`EndpointNotReached` when tau runs 200 without arrival.
     """
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
@@ -224,6 +377,12 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
         increasing = total > 0.0
         if total == 0.0:
             raise TraceDiverged("|F| has a finite limit at infinity; no radial target there")
+        limit = clip_radius if clip_radius is not None else 2.0e6
+
+        def gap(z: complex) -> float:
+            return limit - abs(z)
+
+        avoid, escape = form.positions, math.inf
     else:
         b = complex(b)
         res_b = next(
@@ -232,89 +391,55 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
             raise TraceDiverged(f"target {b} is not a pole of the form")
         increasing = res_b < 0.0
 
+        def gap(z: complex) -> float:
+            return abs(z - b) - ARRIVAL_RADIUS
+
+        avoid = tuple(p for p in form.positions if abs(p - b) > 1e-9)
+        escape = 1.0e3
+
     u_hat = _default_launch(params, a, b, increasing) if launch_dir is None \
         else complex(launch_dir) / abs(complex(launch_dir))
     z_start = a + LAUNCH_OFFSET * u_hat
     tau0 = math.log(developing_modulus(params, z_start))
-
-    def rhs(tau, y):
-        f, potential = _coefficient_and_potential(form, complex(y[0], y[1]), True)
-        v = 1.0 / f
-        # lambda |v| = sqrt(bell |f|^2) / |f| with bell = 4 t / (1 + t)^2
-        t = math.exp(-abs(potential + params.c_log))
-        return [v.real, v.imag, 2.0 * math.sqrt(t) / (1.0 + t)]
-
-    span = 200.0
     direction = 1.0 if increasing else -1.0
 
-    def arrival(tau, y):
-        z = complex(y[0], y[1])
-        if b is INFINITY:
-            limit = clip_radius if clip_radius is not None else 2.0e6
-            return limit - abs(z)
-        return abs(z - b) - ARRIVAL_RADIUS
+    def advance(s: float, node) -> tuple[complex, None]:
+        return complex(tau0 + direction * s, 0.0), None
 
-    arrival.terminal = True
-
-    def escaped(tau, y):
-        if b is INFINITY:
-            return 1.0
-        return 1.0e3 - math.hypot(y[0], y[1])
-
-    escaped.terminal = True
-
-    def hit_other_pole(tau, y):
-        z = complex(y[0], y[1])
-        dists = [abs(z - p.position) for p in form.poles
-                 if b is INFINITY or abs(p.position - b) > 1e-9]
-        return (min(dists) if dists else 1.0) - 10.0 * 1e-12
-
-    hit_other_pole.terminal = True
-
+    q0 = complex(tau0, 0.0)
     try:
-        sol = solve_ivp(rhs, (tau0, tau0 + direction * span),
-                        [z_start.real, z_start.imag, 0.0],
-                        method="DOP853", dense_output=True,
-                        events=[arrival, escaped, hit_other_pole],
-                        rtol=1e-11, atol=1e-13)
-    except EvalAtPole as exc:
-        raise TraceDiverged(f"trace stepped onto a pole: {exc}") from exc
-    if not sol.success:
-        raise TraceDiverged(f"radial trace integrator failed: {sol.message}")
-    if len(sol.t_events[1]) or len(sol.t_events[2]):
-        raise TraceDiverged("radial trace left the admissible region")
-    if not len(sol.t_events[0]):
-        raise EndpointNotReached(f"trace from {a} never reached {b}")
+        s_end, nodes = _continue(form, 1.0, z_start, q0, (q0, None), advance, None, 200.0,
+                                 gap, avoid, 1e-11, escape)
+    except _Stopped as stop:
+        reason, z = stop.args
+        if reason == "pole":
+            dist = min(abs(z - p) for p in avoid)
+            raise TraceDiverged(f"trace stepped onto a pole: {z} is within {dist:.2e} of a pole")
+        if reason == "span":
+            raise EndpointNotReached(f"trace from {a} never reached {b}")
+        if reason == "escaped":
+            raise TraceDiverged("radial trace left the admissible region")
+        raise TraceDiverged(f"radial trace stalled at {z}")
 
-    tau_end = sol.t_events[0][0]
-    taus = np.linspace(tau0, tau_end, n + 1)
-    states = sol.sol(taus)
-    samples = [complex(x, y) for x, y in zip(states[0], states[1])]
-
+    lift = _node_lift(nodes, form.positions, form.residues,
+                      lambda s, k: tau0 + direction * s)
+    s = np.linspace(0.0, s_end, n + 1)
+    z = lift(s)
     # the modulus grid crowds samples near the far cone; where the curve
-    # sprints through the chart, bisect the grid until every chord stays
-    # under four mean spacings of the nominal grid
-    chord_total = sum(abs(b - a) for a, b in zip(samples[:-1], samples[1:]))
-    bound = 4.0 * chord_total / n
-    refined_t = [taus[0]]
-    refined_z = [samples[0]]
-    for t1, z1_s in zip(taus[1:], samples[1:]):
-        stack = [(refined_t[-1], refined_z[-1], t1, z1_s)]
-        while stack:
-            ta, za, tb, zb = stack.pop()
-            if abs(zb - za) <= bound or abs(tb - ta) < 1e-12:
-                refined_t.append(tb)
-                refined_z.append(zb)
-                continue
-            tm = 0.5 * (ta + tb)
-            sm = sol.sol(tm)
-            zm = complex(sm[0], sm[1])
-            stack.append((tm, zm, tb, zb))
-            stack.append((ta, za, tm, zm))
-    samples = refined_z
+    # sprints through the chart, bisect the grid level by level until every
+    # chord stays under four mean spacings of the nominal grid
+    bound = 4.0 * float(np.sum(np.abs(np.diff(z)))) / n
+    while True:
+        wide = np.flatnonzero((np.abs(np.diff(z)) > bound) & (np.diff(s) >= 1e-12))
+        if not wide.size:
+            break
+        mid = 0.5 * (s[wide] + s[wide + 1])
+        s = np.insert(s, wide + 1, mid)
+        z = np.insert(z, wide + 1, lift(mid))
+    samples = z.tolist()
 
-    # tau may run downward; the arc-length state then accumulates negatively
-    arc = abs(float(sol.sol(tau_end)[2]))
+    tau_end = tau0 + direction * s_end
+    arc = 2.0 * abs(math.atan(math.exp(tau_end)) - math.atan(math.exp(tau0)))
     z_end = samples[-1]
 
     stub_a = float(vertex_distance(params, a, z_start))
@@ -345,29 +470,22 @@ def _arc_preimage(params: MetricParams, z0: complex, phi: float,
 
     The starting branch is fixed by taking F(z0) positive real; the arc w(s),
     s in [0, 1], is the minor great circle between the two developed images.
-    Its preimage solves Q(z) = log w(s) with Q(z) = sigma log F(z), which is
-    continued by Newton steps: Q is carried from node to node as
-    Q(z') = Q(z) + sigma sum_k r_k log((z' - p_k) / (z - p_k)), starting from
-    the real Q(z0) = log|F(z0)|, and the target by the increments
-    log(w(s') / w(s)).  Each step predicts z' = z + (log w(s') - Q(z)) / (sigma f(z)),
-    accepts the prediction only when it moves z by at most a quarter of the
-    chart distance to the nearest pole or finite zero, and then corrects it
-    with at most four Newton steps; otherwise ds is halved.  When
+    Its preimage solves Q(z) = log w(s) with Q(z) = sigma log F(z), continued
+    by Newton steps (:func:`_continue`) from the real Q(z0) = log|F(z0)|; the
+    target is carried by the increments log(w(s') / w(s)).  When
     |F(z0)| > 1 the arc of 1/F is lifted instead (sigma = -1, phase -phi):
     w -> 1/w is a rotation of the sphere, so it is the same curve, while near
     infinity the projection factor 1 - w_z would cancel most of its digits.
 
     Returns ``(s_end, lift)`` once z enters the ``stop_radius`` ball around
     ``stop_center``: ``s_end`` is the arc parameter at the ball's boundary,
-    and ``lift`` maps an array of s in [0, s_end] to the chart coordinates
-    ``(xs, ys)``, each found by Newton from the nearest step node at or below
-    it.  Returns None when the arc is degenerate or runs over a projection
-    pole, or when its preimage comes within 1e-9 of a pole, leaves
-    ``|z| <= 1e3``, stalls (``ds < 1e-14``, or 20 000 steps), or reaches
-    s = 1 outside the ball.
+    and ``lift`` maps an array of s in [0, s_end] to the chart points, each
+    found by Newton from the nearest step node at or below it.  Returns None
+    when the arc is degenerate or runs over a projection pole, or when its
+    preimage comes within 1e-9 of a pole, leaves ``|z| <= 1e3``, stalls
+    (``ds < 1e-14``, or 20 000 steps), or reaches s = 1 outside the ball.
     """
     form = params.form
-    positions, residues = form.positions, form.residues
     mod_start = developing_modulus(params, z0)
     sign = 1.0
     if mod_start > 1.0:
@@ -379,8 +497,6 @@ def _arc_preimage(params: MetricParams, z0: complex, phi: float,
     if omega < 1e-12 or omega > math.pi - 1e-9:
         return None
     sin_omega = math.sin(omega)
-    signed = tuple(sign * r for r in residues)
-    marks = positions + tuple(q for q, _ in finite_zeros(form))
 
     def developed(s: float) -> complex | None:
         """w(s) on the arc, or None at a projection pole."""
@@ -392,139 +508,30 @@ def _arc_preimage(params: MetricParams, z0: complex, phi: float,
             return None
         return horizontal / vertical
 
-    def correct(z: complex, q: complex, z_new: complex, target: complex):
-        """Newton from the guess z_new toward Q = target, Q carried from (z, q).
+    def advance(s: float, node):
+        w = developed(s)
+        return None if w is None else (node[3] + cmath.log(w / node[4]), w)
 
-        Returns (z', Q(z'), sigma f(z')), or None if four corrections do not
-        bring the residual down to a few ulp: of max(1, |target|), and of
-        |z'| sum_k |r_k / (z' - p_k)|, the digits log(z' - p_k) loses next to
-        a pole.
-        """
-        for attempt in range(5):
-            f = 0j
-            spread = 0.0
-            q_new = q
-            for p, r in zip(positions, signed):
-                d = z_new - p
-                if d == 0.0:
-                    return None
-                f += r / d
-                spread += abs(r / d)
-                q_new += r * cmath.log(d / (z - p))
-            residual = q_new - target
-            if abs(residual) <= 4.0 * _ULP * (max(1.0, abs(target)) + abs(z_new) * spread):
-                return z_new, q_new, f
-            if attempt == 4 or f == 0.0:
-                return None
-            z_new -= residual / f
-
-    s, z, q, w = 0.0, z0, complex(math.log(mod_start), 0.0), developed(0.0)
-    if w is None:
+    w0 = developed(0.0)
+    if w0 is None:
         return None
-    target = q
-    f, _ = _coefficient_and_potential(form, z0, False)
-    f *= sign
-    nodes = [(s, z, q, target, w, f)]
-    reach = 0.25 * min(abs(z - m) for m in marks)
-    ds = 1.0 / 64.0
-    for _ in range(_ARC_MAX_STEPS):
-        if ds < _ARC_MIN_STEP:
-            return None
-        s_new = min(1.0, s + ds)
-        w_new = developed(s_new)
-        if w_new is None:
-            return None
-        target_new = target + cmath.log(w_new / w)
-        guess = (target_new - q) / f
-        if abs(guess) > reach:
-            ds *= 0.5
-            continue
-        step = correct(z, q, z + guess, target_new)
-        # a correction that moved z by over half the distance to the nearest
-        # pole or zero may have changed branch of the log, or sheet at the zero
-        if step is None or abs(step[0] - z) > 2.0 * reach:
-            ds *= 0.5
-            continue
-        z_new, q_new, f_new = step
-        if min(abs(z_new - p) for p in positions) < 1e-9 or abs(z_new) > 1e3:
-            return None
-        if abs(z_new - stop_center) <= stop_radius:
-            s_end = _arrival(nodes[-1], s_new, developed, correct, stop_center, stop_radius)
-            return s_end, _node_lift(nodes, signed, positions, omega, sin_omega, a, b)
-        if s_new == 1.0:
-            return None
-        moved = abs(z_new - z)
-        reach = 0.25 * min(abs(z_new - m) for m in marks)
-        # aim the next prediction at 80% of the distance it may move
-        ds *= min(2.0, 0.8 * reach / moved) if moved else 2.0
-        s, z, q, target, w, f = s_new, z_new, q_new, target_new, w_new, f_new
-        nodes.append((s, z, q, target, w, f))
-    return None
+    q0 = complex(math.log(mod_start), 0.0)
+    try:
+        s_end, nodes = _continue(form, sign, z0, q0, (q0, w0), advance, 1.0 / 64.0, 1.0,
+                                 lambda z: abs(z - stop_center) - stop_radius,
+                                 form.positions, 1e-9, 1e3)
+    except _Stopped:
+        return None
+    node_t, node_w = (np.array([n[i] for n in nodes], dtype=complex) for i in (3, 4))
 
-
-def _arrival(node, s_out: float, developed, correct, center: complex, radius: float) -> float:
-    """The s in (node s, s_out] at which the lift enters the ``radius`` ball.
-
-    Illinois regula falsi on the signed gap |z(s) - center| - radius, each
-    z(s) found by Newton from ``node``, the last node outside the ball.
-    """
-    s0, z0, q0, t0, w0, f0 = node
-
-    def gap_at(s: float) -> float:
-        target = t0 + cmath.log(developed(s) / w0)
-        guess = z0 + (target - q0) / f0
-        step = correct(z0, q0, guess, target)
-        return abs((guess if step is None else step[0]) - center) - radius
-
-    lo, g_lo = s0, abs(z0 - center) - radius
-    hi, g_hi = s_out, gap_at(s_out)
-    side = 0
-    for _ in range(60):
-        s = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-        if not lo < s < hi:
-            break
-        g = gap_at(s)
-        if abs(g) <= 4.0 * _ULP:
-            return s
-        if g > 0.0:
-            lo, g_lo = s, g
-            g_hi *= 0.5 if side == -1 else 1.0
-            side = -1
-        else:
-            hi, g_hi = s, g
-            g_lo *= 0.5 if side == 1 else 1.0
-            side = 1
-    return hi
-
-
-def _node_lift(nodes, signed, positions, omega, sin_omega, a, b):
-    """Vectorised lift of arc parameters from the continuation's nodes."""
-    node_s = np.array([n[0] for n in nodes])
-    node_z, node_q, node_t, node_w, node_f = (
-        np.array([n[i] for n in nodes], dtype=complex) for i in range(1, 6))
-    ax, ay, az = a
-    bx, by, bz = b
-
-    def lift(s):
-        s = np.asarray(s, dtype=float)
-        k = np.clip(np.searchsorted(node_s, s, side="right") - 1, 0, len(nodes) - 1)
+    def targets(s, k):
         ca = np.sin((1.0 - s) * omega) / sin_omega
         cb = np.sin(s * omega) / sin_omega
         w = (ca * ax + cb * bx + 1j * (ca * ay + cb * by)) / (1.0 - (ca * az + cb * bz))
-        target = node_t[k] + np.log(w / node_w[k])
-        zk, qk = node_z[k], node_q[k]
-        z = zk + (target - qk) / node_f[k]
-        for _ in range(6):
-            f = np.zeros_like(z)
-            q = qk.copy()
-            for p, r in zip(positions, signed):
-                f += r / (z - p)
-                q += r * np.log((z - p) / (zk - p))
-            z = z - (q - target) / f
-        return z.real, z.imag
+        return node_t[k] + np.log(w / node_w[k])
 
-    return lift
-
+    signed = tuple(sign * r for r in form.residues)
+    return s_end, _node_lift(nodes, form.positions, signed, targets)
 
 # ---------------------------------------------------------------------------
 # spherical trigonometry and the decomposition report
@@ -554,10 +561,15 @@ def spherical_angle(a_opposite: float, b: float, c: float) -> float:
     return math.acos(arg)
 
 
-def _l01_candidates(params: MetricParams) -> list[tuple[float, float, complex]]:
-    """Every 0-1 path class from every launch point, as (L01, phi, z0), shortest first.
+def _l01_candidates(params: MetricParams) -> list[tuple[float, float, complex, float]]:
+    """Every 0-1 path class from every launch point, shortest first.
 
-    The sort is stable, so equal sides keep the order of ``LAUNCH_POINTS``.
+    Each candidate is ``(L01, phi, z0, phi_lift)``: the side and the
+    developing phase at the vertex 0, the launch point, and the phase from
+    z0, which is the lift's target.  ``L01`` and ``phi`` are the same for a
+    class from every launch point.  Within a class the launch points come in
+    the order of the side that their own phase gives: the first has already
+    turned toward F(1) around the cone, and is the likeliest to lift.
     """
     ell1, ell2 = three_football_lengths(params)
     poles = params.form.poles
@@ -569,18 +581,21 @@ def _l01_candidates(params: MetricParams) -> list[tuple[float, float, complex]]:
         h = hav(ell1 - ell2) + math.sin(ell1) * math.sin(ell2) * hav(phi)
         return 2.0 * math.asin(math.sqrt(min(1.0, h)))
 
+    phi_seg = math.fsum(p.residue * cmath.phase((1.0 - p.position) / -p.position)
+                        for p in poles)
+    phases: dict[float, float] = {}  # one entry per distinct phase mod 2 pi
+    for turns in itertools.product((-1, 0, 1), repeat=len(poles)):
+        phi = math.remainder(
+            phi_seg + 2.0 * math.pi * math.fsum(n * p.residue for n, p in zip(turns, poles)),
+            2.0 * math.pi)
+        phases.setdefault(round(phi, 12), phi)
     out = []
     for z0 in LAUNCH_POINTS:
-        phi_seg = math.fsum(p.residue * cmath.phase((1.0 - p.position) / (z0 - p.position))
-                            for p in poles)
-        phases: dict[float, float] = {}  # one entry per distinct phase mod 2 pi
-        for turns in itertools.product((-1, 0, 1), repeat=len(poles)):
-            phi = math.remainder(
-                phi_seg + 2.0 * math.pi * math.fsum(n * p.residue for n, p in zip(turns, poles)),
-                2.0 * math.pi)
-            phases.setdefault(round(phi, 12), phi)
-        out += [(side(phi), phi, z0) for phi in phases.values()]
-    out.sort(key=lambda cand: cand[0])
+        # arg F(z0) - arg F(0) along the segment from 0: the lift starts at z0
+        step = math.fsum(p.residue * cmath.phase((z0 - p.position) / -p.position)
+                         for p in poles)
+        out += [(side(phi), phi, z0, phi - step) for phi in phases.values()]
+    out.sort(key=lambda cand: (cand[0], side(cand[3])))
     return out
 
 
@@ -593,22 +608,24 @@ def l01_side(params: MetricParams) -> tuple[float, float, complex]:
 
         hav L01 = hav(ell1 - ell2) + sin ell1 sin ell2 hav phi,
 
-    because acos loses the digits of the tiny sides that occur.  The zero at
-    0 is a cone of angle 4 pi, so the four launch points ``LAUNCH_POINTS``
-    (chart offset ``LAUNCH_OFFSET`` along +-1 and +-i) lie on its two sheets
-    and start different path classes.  A class from z0 to 1 develops with
-    phase phi_seg + 2 pi sum_k n_k r_k, where
-    phi_seg = sum_k r_k Arg((1 - p_k) / (z0 - p_k)) is the phase along the
-    straight segment from z0 and n_k counts the turns around pole k.  The
-    classes with every n_k in {-1, 0, 1}, from all four launch points, are
-    tried shortest first; one is realized when its developed arc lifts from
-    z0 into the ARC_ARRIVAL_RADIUS ball around 1 without meeting a cone
-    (:func:`_arc_preimage`).  Returns ``(L01, phi, z0)`` of the first that
-    lifts, and raises :class:`EndpointNotReached` when none does.
+    because acos loses the digits of the tiny sides that occur.  A class
+    from the vertex 0 to 1 develops with phase phi_seg + 2 pi sum_k n_k r_k,
+    where phi_seg = sum_k r_k Arg((1 - p_k) / -p_k) is the phase along the
+    segment [0, 1] and n_k counts the turns around pole k.  The zero at 0 is
+    a cone of angle 4 pi, so the four launch points ``LAUNCH_POINTS`` (chart
+    offset ``LAUNCH_OFFSET`` along +-1 and +-i) lie on its two sheets and
+    start different paths of each class.  The classes with every n_k in
+    {-1, 0, 1}, from all four launch points, are tried shortest first; one is
+    realized when its developed arc, with the phase taken from the launch
+    point, lifts from there into the ARC_ARRIVAL_RADIUS ball around 1 without
+    meeting a cone (:func:`_arc_preimage`).  Returns ``(L01, phi, z0)`` of
+    the first that lifts, and raises :class:`EndpointNotReached` when none
+    does.  ``L01`` and ``phi`` are taken at the vertex, so they do not depend
+    on the sheet that realizes the class.
     """
     mod1 = developing_modulus(params, 1.0)
-    for length, phi, z0 in _l01_candidates(params):
-        if _arc_preimage(params, z0, phi, mod1, 1.0 + 0.0j, ARC_ARRIVAL_RADIUS) is not None:
+    for length, phi, z0, phi_lift in _l01_candidates(params):
+        if _arc_preimage(params, z0, phi_lift, mod1, 1.0 + 0.0j, ARC_ARRIVAL_RADIUS) is not None:
             return length, phi, z0
     raise EndpointNotReached(
         f"no developed 0-1 arc lifts from the launch points {LAUNCH_POINTS} into the "

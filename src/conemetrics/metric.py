@@ -14,8 +14,8 @@ is the position and residue tuples a :class:`~conemetrics.forms.CharacterForm`
 builds once.
 
 Single points go through the scalar evaluators (``density_at``,
-``phi_at``); the ODE right-hand sides in ``geodesics`` run their own lean
-loop over the poles instead.  Arrays of points (the curvature stencil, the
+``phi_at``); the Newton continuation of log F in ``geodesics`` runs its own
+lean loop over the poles instead.  Arrays of points (the curvature stencil, the
 cone-angle contours and the CSV grid) go through one numpy kernel with the
 same formulas; the two paths agree to rounding, not bit for bit.
 

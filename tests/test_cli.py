@@ -120,3 +120,37 @@ def test_verify_curvature_passes_where_the_density_is_tiny(capsys, config):
     assert lines[-1] == "all checks passed", out
     assert all(re.fullmatch(r"\S+: residual=\S+ tol=\S+ PASS", line) for line in lines[:-1]), out
     assert any(line.startswith("curvature:") for line in lines), out
+
+
+#: the check lines ``verify`` prints for each family, in order
+VERIFY_CHECKS = {
+    "heart": ("residue-sum", "product-form", "zero-placement", "metric-equivalence",
+              "dphi-identity", "curvature", "cone-angles", "length-identities",
+              "traced-length"),
+    "threefb": ("residue-sum", "constraint-residual", "zero-placement", "metric-equivalence",
+                "dphi-identity", "curvature", "cone-angles", "length-identities"),
+}
+
+
+@pytest.mark.parametrize("config", [
+    ("--family", "heart", "--beta", "0.5"),
+    ("--family", "threefb", "--special", "--pbeta", "0.3+0.2i"),
+], ids=["heart-0.5", "special-0.3+0.2i"])
+def test_plot_and_verify_print_only_their_results(capsys, tmp_path, config):
+    # plot prints its path and verify its check lines and summary: no
+    # warning of Python or numpy, and nothing on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["plot", *config, "--out", str(tmp_path)])
+        plotted = capsys.readouterr()
+        assert code == 0, plotted.out
+        assert plotted.err == ""
+        assert plotted.out == f"{os.path.join(str(tmp_path), 'plot.svg')}\n"
+        code = cli.main(["verify", *config])
+        verified = capsys.readouterr()
+    assert code == 0, verified.out
+    assert verified.err == ""
+    lines = verified.out.splitlines()
+    assert tuple(line.split(":")[0] for line in lines[:-1]) == VERIFY_CHECKS[config[1]]
+    assert all(re.fullmatch(r"\S+: residual=\S+ tol=\S+ PASS", line) for line in lines[:-1])
+    assert lines[-1] == "all checks passed"

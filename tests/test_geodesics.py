@@ -9,7 +9,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from conemetrics import forms, geodesics, metric
-from conemetrics.errors import DegenerateTriangle, EvalAtPole, TraceDiverged
+from conemetrics.errors import DegenerateTriangle, EndpointNotReached, EvalAtPole, TraceDiverged
 from conemetrics.families import (
     AngleTriple,
     Branch,
@@ -216,6 +216,191 @@ def test_trace_stepping_onto_a_pole_diverges():
         trace_radial_preimage(mp, 0.0, 1.0, launch_dir=-1.0)
 
 
+def dop853_radial_trace(params, a, b, n=400, launch_dir=None, clip_radius=None):
+    """The radial trace as the ODE dz/dtau = 1/f(z), integrated by DOP853.
+
+    The reference for the Newton continuation in ``trace_radial_preimage``:
+    same launch, same arrival, the same chord bisection of the same
+    tau-uniform grid, and the arc length as a third state,
+    d(length)/dtau = sech tau, but every decision comes from scipy's event
+    location.  Returns ``(path, dense)``, ``dense(tau)`` the rows x, y and
+    length, or raises the trace's error classes.
+    """
+    a = complex(a)
+    form = params.form
+    if b is INFINITY:
+        increasing = sum(form.residues) > 0.0
+    else:
+        b = complex(b)
+        increasing = next(p.residue for p in form.poles if abs(p.position - b) <= 1e-9) < 0.0
+    u_hat = geodesics._default_launch(params, a, b, increasing) if launch_dir is None \
+        else complex(launch_dir) / abs(complex(launch_dir))
+    z_start = a + geodesics.LAUNCH_OFFSET * u_hat
+    tau0 = math.log(developing_modulus(params, z_start))
+
+    def rhs(tau, y):
+        z = complex(y[0], y[1])
+        f, potential = 0j, 0.0
+        for p, r in zip(form.positions, form.residues):
+            if not abs(z - p) > forms.POLE_GUARD:
+                raise EvalAtPole(f"evaluation at {z} is next to a pole")
+            f += r / (z - p)
+            potential += 2.0 * r * math.log(abs(z - p))
+        v = 1.0 / f
+        t = math.exp(-abs(potential + params.c_log))
+        return [v.real, v.imag, 2.0 * math.sqrt(t) / (1.0 + t)]
+
+    def arrival(tau, y):
+        z = complex(y[0], y[1])
+        if b is INFINITY:
+            return (clip_radius if clip_radius is not None else 2.0e6) - abs(z)
+        return abs(z - b) - geodesics.ARRIVAL_RADIUS
+
+    def escaped(tau, y):
+        return 1.0 if b is INFINITY else 1.0e3 - math.hypot(y[0], y[1])
+
+    def hit_other_pole(tau, y):
+        z = complex(y[0], y[1])
+        dists = [abs(z - p) for p in form.positions if b is INFINITY or abs(p - b) > 1e-9]
+        return (min(dists) if dists else 1.0) - 1e-11
+
+    for event in (arrival, escaped, hit_other_pole):
+        event.terminal = True
+    direction = 1.0 if increasing else -1.0
+    try:
+        sol = solve_ivp(rhs, (tau0, tau0 + direction * 200.0), [z_start.real, z_start.imag, 0.0],
+                        method="DOP853", dense_output=True,
+                        events=[arrival, escaped, hit_other_pole], rtol=1e-11, atol=1e-13)
+    except EvalAtPole as exc:
+        raise TraceDiverged(f"trace stepped onto a pole: {exc}") from exc
+    if not sol.success:
+        raise TraceDiverged(f"radial trace integrator failed: {sol.message}")
+    if len(sol.t_events[1]) or len(sol.t_events[2]):
+        raise TraceDiverged("radial trace left the admissible region")
+    if not len(sol.t_events[0]):
+        raise EndpointNotReached(f"trace from {a} never reached {b}")
+
+    tau_end = sol.t_events[0][0]
+
+    def point(tau):
+        x, y, _ = sol.sol(tau)
+        return complex(x, y)
+
+    taus = np.linspace(tau0, tau_end, n + 1)
+    samples = [point(t) for t in taus]
+    bound = 4.0 * sum(abs(q - p) for p, q in zip(samples[:-1], samples[1:])) / n
+    refined = [samples[0]]
+    for ta, tb, zb in zip(taus[:-1], taus[1:], samples[1:]):
+        stack = [(ta, refined[-1], tb, zb)]
+        while stack:
+            t0, z0, t1, z1 = stack.pop()
+            if abs(z1 - z0) <= bound or abs(t1 - t0) < 1e-12:
+                refined.append(z1)
+                continue
+            tm = 0.5 * (t0 + t1)
+            stack += [(tm, point(tm), t1, z1), (t0, z0, tm, point(tm))]
+    stub_a = float(vertex_distance(params, a, z_start))
+    stub_b = 0.0 if b is INFINITY and clip_radius is not None \
+        else float(vertex_distance(params, b, refined[-1]))
+    length = stub_a + abs(float(sol.sol(tau_end)[2])) + stub_b
+    defect = 1.0 / abs(refined[-1]) if b is INFINITY else abs(refined[-1] - b)
+    return GeodesicPath(refined, length, defect, (stub_a, stub_b)), sol.sol
+
+
+def log_modulus(params, z):
+    """tau = log |F(z)| = c/2 + sum_k r_k log |z - p_k|."""
+    return 0.5 * params.c_log + sum(r * math.log(abs(z - p))
+                                    for p, r in zip(params.form.positions, params.form.residues))
+
+
+def plot_traces(mp, starts=(0.0,)):
+    """Every (a, b, launch, clip) that ``plot`` may trace, from each start, both launches."""
+    form = mp.form
+    out = []
+    for a in starts:
+        for p, r in zip(form.positions, form.residues):
+            u, v = geodesics.launch_directions(mp, a, increasing=r < 0.0)
+            out += [(a, p, u, None), (a, p, v, None)]
+    u, v = geodesics.launch_directions(mp, 0.0, increasing=True)
+    return out + [(0.0, INFINITY, u, 10.0), (0.0, INFINITY, v, 10.0)]
+
+
+def radial_cases():
+    heart_half = heart_metric(HeartParams(0.5, 0.0))
+    up = geodesics.launch_directions(heart_half, 0.0, increasing=True)
+    cases = {
+        # the four plot traces and the verify trace
+        "heart-0.5": (heart_half, [(0.0, 1.0, None, None, 240), (0.0, -1.0, None, None, 240),
+                                   (0.0, INFINITY, up[0], 10.0, 240),
+                                   (0.0, INFINITY, up[1], 10.0, 240),
+                                   (0.0, 1.0, None, None, 200)]),
+    }
+    for name, hp in (("heart-0.15", HeartParams(0.15, 0.0)),
+                     ("heart-0.15-c0.4", HeartParams(0.15, 0.4))):
+        mp = heart_metric(hp)
+        # the plot traces from both launches, the -1 launch among them
+        cases[name] = (mp, [(a, b, u, clip, 240) for a, b, u, clip in plot_traces(mp)]
+                       + [(0.0, 1.0, None, None, 200)])
+    fixture = football_metric("special-0.3+0.2i")
+    cases["special-0.3+0.2i"] = (
+        fixture, [(a, b, u, clip, 240) for a, b, u, clip in plot_traces(fixture)]
+        + [(0.0, INFINITY, u, None, 200) for u in geodesics.launch_directions(fixture, 0.0, True)])
+    for name in ("seeded-2", "seeded-4"):
+        mp = football_metric(name)
+        cases[name] = (mp, [(a, b, u, clip, 240) for a, b, u, clip in plot_traces(mp, (0.0, 1.0))])
+    return cases
+
+
+def traced(fn, mp, a, b, u, clip, n):
+    try:
+        return "arrives", fn(mp, a, b, n=n, launch_dir=u, clip_radius=clip)
+    except (TraceDiverged, EndpointNotReached) as exc:
+        return type(exc).__name__, None
+
+
+@pytest.mark.parametrize("name", ["heart-0.5", "heart-0.15", "heart-0.15-c0.4",
+                                  "special-0.3+0.2i", "seeded-2", "seeded-4"])
+def test_radial_trace_decisions_match_dop853(name):
+    # the continuation arrives exactly where the ODE arrives, fails with the
+    # same error class where it fails, and samples the same curve
+    mp, traces = radial_cases()[name]
+    arrived = failed = 0
+    for a, b, u, clip, n in traces:
+        new_kind, new = traced(trace_radial_preimage, mp, a, b, u, clip, n)
+        old_kind, old = traced(dop853_radial_trace, mp, a, b, u, clip, n)
+        assert new_kind == old_kind, (a, b, u)
+        if new is None:
+            failed += 1
+            continue
+        arrived += 1
+        path, dense = old
+        assert abs(new.length - path.length) <= 1e-9, (a, b, u)
+        assert abs(new.samples[-1] - path.samples[-1]) <= 1e-6, (a, b, u)
+        # relative beyond |z| = 1: rtol bounds the ODE's own error out there
+        for z in new.samples:
+            x, y, _ = dense(log_modulus(mp, z))
+            assert abs(z - complex(x, y)) <= 1e-6 * max(1.0, abs(z)), (a, b, u, z)
+    assert arrived
+    if name.startswith("seeded"):
+        assert failed
+
+
+@pytest.mark.parametrize("name", ["heart-0.5", "special-0.3+0.2i"])
+def test_radial_trace_keeps_arg_f_constant(name):
+    # along every arriving sample path, arg F summed from the increments
+    # sum_k r_k Arg((z' - p_k) / (z - p_k)) stays at its launch value
+    mp, traces = radial_cases()[name]
+    form = mp.form
+    for a, b, u, clip, n in traces:
+        kind, path = traced(trace_radial_preimage, mp, a, b, u, clip, n)
+        if path is None:
+            continue
+        z = np.array(path.samples)
+        drift = np.cumsum(sum(r * np.angle((z[1:] - p) / (z[:-1] - p))
+                              for p, r in zip(form.positions, form.residues)))
+        assert np.max(np.abs(drift)) <= 1e-9, (a, b, u)
+
+
 def test_geodesic_path_json_keys():
     path = GeodesicPath(samples=[0.0 + 0.0j, 1.0 + 2.0j], length=1.5,
                         endpoint_defect=1e-9)
@@ -339,10 +524,10 @@ def test_l01_agrees_with_arc_prediction(name):
     # and completed by the two closed-form cone stubs
     mp = football_metric(name)
     l01, phi, z0 = l01_side(mp)
-    s_end, lift = geodesics._arc_preimage(mp, z0, phi, developing_modulus(mp, 1.0),
+    phi_lift = next(c[3] for c in geodesics._l01_candidates(mp) if c[1:3] == (phi, z0))
+    s_end, lift = geodesics._arc_preimage(mp, z0, phi_lift, developing_modulus(mp, 1.0),
                                           1.0 + 0.0j, geodesics.ARC_ARRIVAL_RADIUS)
-    xs, ys = lift(np.linspace(0.0, s_end, 20001))
-    samples = [complex(x, y) for x, y in zip(xs, ys)]
+    samples = lift(np.linspace(0.0, s_end, 20001)).tolist()
     assert abs(samples[0] - z0) <= 1e-9
     z_stop = samples[-1]
     total = (float(vertex_distance(mp, 0.0, z0))
@@ -388,7 +573,10 @@ def dop853_arc_preimage(params, z0, phi, mod_target, stop_center, stop_radius):
         return complex(dx, dy) / horizontal + dz / vertical
 
     def rhs(s, y):
-        f, _ = geodesics._coefficient_and_potential(form, complex(y[0], y[1]), False)
+        z = complex(y[0], y[1])
+        if min(abs(z - p) for p in form.positions) <= forms.POLE_GUARD:
+            raise EvalAtPole(f"evaluation at {z} is next to a pole")
+        f = sum(r / (z - p) for p, r in zip(form.positions, form.residues))
         v = log_derivative(s) / (sign * f)
         return [v.real, v.imag]
 
@@ -422,9 +610,9 @@ def test_arc_lift_decisions_match_dop853(name):
     mp = football_metric(name)
     mod1 = developing_modulus(mp, 1.0)
     candidates = geodesics._l01_candidates(mp)
-    assert {z0 for _, _, z0 in candidates} == set(geodesics.LAUNCH_POINTS)
+    assert {c[2] for c in candidates} == set(geodesics.LAUNCH_POINTS)
     realized = 0
-    for _, phi, z0 in candidates:
+    for _, _, z0, phi in candidates:
         new = geodesics._arc_preimage(mp, z0, phi, mod1, 1.0 + 0.0j, geodesics.ARC_ARRIVAL_RADIUS)
         old = dop853_arc_preimage(mp, z0, phi, mod1, 1.0 + 0.0j, geodesics.ARC_ARRIVAL_RADIUS)
         assert (new is None) == (old is None), (phi, z0)
@@ -432,10 +620,22 @@ def test_arc_lift_decisions_match_dop853(name):
             continue
         realized += 1
         s = np.linspace(0.0, 0.999 * min(new[0], old[0]), 201)
-        xn, yn = new[1](s)
         xo, yo = old[1](s)
-        assert np.max(np.hypot(xn - xo, yn - yo)) <= 1e-6, (phi, z0)
+        assert np.max(np.abs(new[1](s) - (xo + 1j * yo))) <= 1e-6, (phi, z0)
     assert realized
+
+
+@pytest.mark.parametrize("name", list(FOOTBALLS))
+def test_l01_candidates_agree_across_launch_points(name):
+    # L01 and phi are taken at the vertex 0, so every launch point offers
+    # each class with bit-identical values; only the lift phase differs
+    candidates = geodesics._l01_candidates(football_metric(name))
+    per_launch = {z0: sorted((l01, phi) for l01, phi, z, _ in candidates if z == z0)
+                  for z0 in geodesics.LAUNCH_POINTS}
+    first = per_launch[geodesics.LAUNCH_POINTS[0]]
+    assert first
+    assert all(classes == first for classes in per_launch.values())
+    assert all(abs(phi_lift - phi) < 1e-6 for _, phi, _, phi_lift in candidates)
 
 
 def test_l01_side_lifts_from_both_sheets():

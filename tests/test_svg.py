@@ -124,3 +124,18 @@ def test_plot_retries_a_pole_geodesic_from_the_opposite_launch(capsys, tmp_path)
     text = (tmp_path / "plot.svg").read_text()
     assert len(re.findall(r'<polyline class="geodesic"', text)) >= 3
     assert re.findall(r"warning: trace toward (\S+)", text) in ([], ["INFINITY"])
+
+
+def test_plot_draws_a_pole_geodesic_from_the_zero_at_1(capsys, tmp_path):
+    # no radial geodesic from 0 reaches P_alpha, far out at 52-21i: both
+    # launches from 0 leave the admissible region, and the second launch
+    # from the zero at 1 arrives, so every pole geodesic is drawn
+    flags = ["--family", "threefb", "--alpha", "1.262185317773029",
+             "--beta", "0.29647508489840785", "--gamma", "0.4115199854069033",
+             "--pbeta", "-1.2263597072434105+0.6926186654378874i", "--branch", "minus",
+             "--camp", "2.9675725092831224"]
+    assert cli.main(["plot", *flags, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "plot.svg").read_text()
+    assert len(re.findall(r'<polyline class="geodesic"', text)) >= 3
+    assert re.findall(r"warning: trace toward (\S+)", text) in ([], ["INFINITY"])
