@@ -41,7 +41,6 @@ from .geodesics import (
     decomposition_report,
     path_length,
     radial_length,
-    spherical_angle,
     three_football_lengths,
     trace_radial_preimage,
 )
@@ -70,7 +69,7 @@ __all__ = [
     "heart_form", "heart_metric", "make_form", "make_three_football", "metric",
     "path_length", "phi_at", "phi_gradient_check", "potential_at",
     "radial_length", "residue_at_infinity", "solve_pole_positions",
-    "special_case_angles", "special_case_poles", "spherical_angle",
+    "special_case_angles", "special_case_poles",
     "three_football_form", "three_football_lengths", "three_football_metric",
     "trace_radial_preimage",
 ]

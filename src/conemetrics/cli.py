@@ -9,6 +9,7 @@ are byte-deterministic for a given configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -197,20 +198,50 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 # verification suite
 
+def _clear_of_marks(mp: MetricParams, z: np.ndarray, clearance: float) -> np.ndarray:
+    """Mask of the points of ``z`` farther than ``clearance`` from every finite marked point."""
+    finite = np.array([q for q, _, _ in mp.marked if q is not INFINITY])
+    return np.all(np.abs(z[:, None] - finite) > clearance, axis=1)
+
+
 def _sample_points(mp: MetricParams, count: int, seed: int = 12345,
-                   box: float = 3.0, clearance: float = 0.05) -> list[complex]:
+                   box: float = 3.0, clearance: float = 0.05) -> np.ndarray:
+    """``count`` points of the box farther than ``clearance`` from every finite marked point.
+
+    Candidates are ``complex(uniform, uniform)`` draws of ``random.Random(seed)``,
+    accepted in order.  Each batch draws only as many candidates as points
+    are still missing, so no candidate past the last accepted one is drawn.
+    """
     rng = random.Random(seed)
-    singular = [q for q, _, _ in metric.singular_points(mp) if q is not INFINITY]
-    out: list[complex] = []
-    while len(out) < count:
-        z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
-        if all(abs(z - q) > clearance for q in singular):
-            out.append(z)
+    out = np.empty(0, dtype=complex)
+    while out.size < count:
+        draws = [rng.uniform(-box, box) for _ in range(2 * (count - out.size))]
+        z = np.empty(len(draws) // 2, dtype=complex)
+        z.real = draws[0::2]
+        z.imag = draws[1::2]
+        out = np.concatenate([out, z[_clear_of_marks(mp, z, clearance)]])
     return out
 
 
+def _curvature_cells(mp: MetricParams, g: GridSpec) -> np.ndarray:
+    """The grid nodes at stride ``max(1, n // 24)`` on each axis (31 x 31 on the
+    default grid), less those within 0.1 of a finite marked point."""
+    ix = np.arange(0, g.nx, max(1, g.nx // 24))
+    iy = np.arange(0, g.ny, max(1, g.ny // 24))
+    z = np.empty((iy.size, ix.size), dtype=complex)
+    z.real = g.x_min + (g.x_max - g.x_min) * ix / (g.nx - 1)
+    z.imag = g.y_min + (g.y_max - g.y_min) * iy[:, None] / (g.ny - 1)
+    z = z.ravel()
+    return z[_clear_of_marks(mp, z, 0.1)]
+
+
 def run_checks(cfg: RunConfig) -> list[tuple[str, float, float]]:
-    """All invariant checks for the configured family: (name, residual, tol)."""
+    """All invariant checks for the configured family: (name, residual, tol).
+
+    The checks at scattered points (product form, metric equivalence, the
+    gradient identity for Phi) and the curvature lattice each evaluate all
+    their points in one array call.
+    """
     mp = cfg.metric_params()
     tol = cfg.tolerances
     checks: list[tuple[str, float, float]] = []
@@ -222,11 +253,10 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, float, float]]:
     if cfg.family == "heart":
         beta = cfg.heart.beta
         gamma = 1.0 - beta
-        worst = 0.0
-        for z in _sample_points(mp, 50, seed=7):
-            lhs = forms.coefficient_at(mp.form, z)
-            rhs = z / ((z - 1.0) * (z + gamma / beta))
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        z = _sample_points(mp, 50, seed=7)
+        lhs = forms._coefficient(mp.form, z)
+        rhs = z / ((z - 1.0) * (z + gamma / beta))
+        worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
         checks.append(("product-form", worst, 1e-12))
         zeros = forms.finite_zeros(mp.form)
         zero_defect = max(abs(root) for root, _ in zeros) if len(zeros) == 1 else math.inf
@@ -243,41 +273,29 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, float, float]]:
             zero_defect = math.inf
         checks.append(("zero-placement", zero_defect, 1e-9))
 
-    pts = _sample_points(mp, 300, seed=11)
-    worst = 0.0
-    for z in pts:
-        a = metric.density_at(mp, z)
-        b = metric.density_via_developing(mp, z)
-        worst = max(worst, abs(a - b) / max(a, b, 1e-300))
+    z = _sample_points(mp, 300, seed=11)
+    _, _, a = metric._evaluate(mp, z)
+    b = metric._developing_density(mp, z)
+    worst = float(np.max(np.abs(a - b) / np.maximum(np.maximum(a, b), 1e-300)))
     checks.append(("metric-equivalence", worst, 1e-12))
 
-    worst = 0.0
-    for z in _sample_points(mp, 100, seed=13):
-        worst = max(worst, metric.phi_gradient_check(mp, z))
+    worst = float(np.max(metric._phi_gradient_residuals(mp, _sample_points(mp, 100, seed=13))))
     checks.append(("dphi-identity", worst, 1e-6))
 
-    singular = [q for q, _, _ in metric.singular_points(mp) if q is not INFINITY]
-    g = cfg.grid
-    cells = []
-    for iy in range(0, g.ny, max(1, g.ny // 24)):
-        for ix in range(0, g.nx, max(1, g.nx // 24)):
-            z = complex(g.x_min + (g.x_max - g.x_min) * ix / (g.nx - 1),
-                        g.y_min + (g.y_max - g.y_min) * iy / (g.ny - 1))
-            if min(abs(z - q) for q in singular) > 0.1:
-                cells.append(z)
+    cells = _curvature_cells(mp, cfg.grid)
     worst = math.inf
-    if cells:
-        kappa = metric.curvature_field(mp, np.array(cells))
+    if cells.size:
+        kappa = metric.curvature_field(mp, cells)
         hit = np.flatnonzero(np.isnan(kappa))
         if hit.size:
-            raise StencilHitsSingularity(f"stencil at {cells[hit[0]]} touched a singular point")
+            raise StencilHitsSingularity(
+                f"stencil at {complex(cells[hit[0]])} touched a singular point")
         worst = float(np.max(np.abs(kappa - 1.0)))
     checks.append(("curvature", worst, tol.curvature_tol))
 
     worst = 0.0
-    marked = metric.singular_points(mp)
-    finite = [q for q, _, _ in marked if q is not INFINITY]
-    for point, kind, coefficient in marked:
+    finite = [q for q, _, _ in mp.marked if q is not INFINITY]
+    for point, kind, coefficient in mp.marked:
         # the estimate errs by about 0.26 (eps / d)^2, d the chart distance
         # from the point to the nearest other singular point
         if point is INFINITY:
@@ -443,13 +461,15 @@ def cmd_plot(cfg: RunConfig) -> int:
         canvas.add_mark(None, "inf")
     else:
         p_beta, p_alpha, p_gamma = mp.form.positions
-        inc = geodesics.launch_directions(mp, 0.0, increasing=True)
-        # a pole that no radial geodesic from 0 reaches may still be reached
-        # from the zero at 1, so the launches from 1 follow those from 0
+        # a pole, or infinity, that no radial geodesic from 0 reaches may
+        # still be reached from the zero at 1, so the launches from 1 follow
+        # those from 0
+        to_infinity = [(start, u) for start in (0.0, 1.0)
+                       for u in geodesics.launch_directions(mp, start, increasing=True)]
         _plot_traces(canvas, mp, [
             (pole, color, _pole_launches(mp, 0.0, pole) + _pole_launches(mp, 1.0, pole))
             for pole, color in ((p_alpha, "#cc2222"), (p_gamma, "#cc2222"), (p_beta, "#22aa44"))
-        ] + [(INFINITY, "#22aa44", [(0.0, u) for u in inc])])
+        ] + [(INFINITY, "#22aa44", to_infinity)])
         canvas.add_mark(0.0 + 0.0j, "0")
         canvas.add_mark(1.0 + 0.0j, "1")
         canvas.add_mark(p_alpha, "P_alpha")
@@ -472,7 +492,10 @@ def cmd_plot(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` returns a
+    fresh namespace on every call, so no value carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="conemetrics",
         description="Construct and verify spherical conical metrics from "

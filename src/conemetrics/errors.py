@@ -83,7 +83,3 @@ class TraceDiverged(ConeMetricError):
 
 class EndpointNotReached(ConeMetricError):
     """A traced path, or every lifted arc, stopped before reaching its target point."""
-
-
-class DegenerateTriangle(ConeMetricError):
-    """Spherical triangle data violates the triangle inequality or is degenerate."""

@@ -76,8 +76,8 @@ class PoleSpec:
 class CharacterForm:
     """A third-kind differential given by its ordered list of simple poles.
 
-    ``positions`` and ``residues`` are built on first use and kept, since
-    pointwise evaluation reads them on every call.
+    ``positions``, ``residues`` and ``zeros`` are built on first use and
+    kept, since pointwise evaluation and the checks read them on every call.
     """
 
     poles: tuple[PoleSpec, ...]
@@ -89,6 +89,11 @@ class CharacterForm:
     @cached_property
     def residues(self) -> tuple[float, ...]:
         return tuple(p.residue for p in self.poles)
+
+    @cached_property
+    def zeros(self) -> tuple[tuple[complex, int], ...]:
+        """The finite zeros with their multiplicities; see :func:`finite_zeros`."""
+        return _solve_zeros(self)
 
 
 def make_form(poles) -> CharacterForm:
@@ -114,11 +119,6 @@ def make_form(poles) -> CharacterForm:
     return CharacterForm(tuple(specs))
 
 
-def min_pole_distance(form: CharacterForm, z) -> float:
-    z = complex(z)
-    return min(abs(z - p) for p in form.positions)
-
-
 def _require_off_poles(form: CharacterForm, z) -> complex:
     z = _as_finite_complex(z)
     d = min(abs(z - p) for p in form.positions)
@@ -127,8 +127,9 @@ def _require_off_poles(form: CharacterForm, z) -> complex:
     return z
 
 
-def _coefficient(form: CharacterForm, z: complex) -> complex:
-    """f(z) at a point already checked by :func:`_require_off_poles`."""
+def _coefficient(form: CharacterForm, z):
+    """f(z) at a point already checked by :func:`_require_off_poles`, or over
+    a complex array of points off the poles."""
     return sum(p.residue / (z - p.position) for p in form.poles)
 
 
@@ -180,8 +181,13 @@ def finite_zeros(form: CharacterForm) -> list[tuple[complex, int]]:
     The numerator polynomial has degree at most ``len(poles) - 1``; degrees
     up to two are solved in closed form, anything larger falls back to the
     companion-matrix solver.  Roots are returned sorted by real then
-    imaginary part.
+    imaginary part.  They are solved once per form; each call returns a
+    fresh list.
     """
+    return list(form.zeros)
+
+
+def _solve_zeros(form: CharacterForm) -> tuple[tuple[complex, int], ...]:
     coeffs = _numerator_coefficients(form)
     scale = max(abs(c) for c in coeffs)
     if scale == 0.0:
@@ -192,14 +198,14 @@ def finite_zeros(form: CharacterForm) -> list[tuple[complex, int]]:
         trimmed = trimmed[1:]
     deg = len(trimmed) - 1
     if deg == 0:
-        return []
+        return ()
     if deg == 1:
         roots = [-trimmed[1] / trimmed[0]]
     elif deg == 2:
         a, b, c = trimmed
         disc = b * b - 4.0 * a * c
         if abs(disc) <= 1e-14 * (abs(b) ** 2 + 4.0 * abs(a) * abs(c)):
-            return [(complex(-b / (2.0 * a)), 2)]
+            return ((complex(-b / (2.0 * a)), 2),)
         s = cmath.sqrt(disc)
         if (b.conjugate() * s).real < 0.0:
             s = -s
@@ -207,8 +213,7 @@ def finite_zeros(form: CharacterForm) -> list[tuple[complex, int]]:
         roots = [q / a, c / q]
     else:
         roots = list(np.roots(trimmed))
-    out = [(complex(r), 1) for r in sorted(roots, key=lambda w: (w.real, w.imag))]
-    return out
+    return tuple((complex(r), 1) for r in sorted(roots, key=lambda w: (w.real, w.imag)))
 
 
 # ---------------------------------------------------------------------------

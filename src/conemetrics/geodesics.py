@@ -40,7 +40,7 @@ import numpy as np
 # (perfbench/spans.py) wraps ``geodesics.solve_ivp`` by name
 from scipy.integrate import solve_ivp  # noqa: F401
 
-from .errors import DegenerateTriangle, EndpointNotReached, TraceDiverged
+from .errors import EndpointNotReached, TraceDiverged
 from .families import ThreeFootballParams, three_football_metric
 from .forms import INFINITY, CharacterForm, coefficient_derivative_at, finite_zeros
 from .metric import MetricParams, density_at, developing_modulus, vertex_distance
@@ -534,32 +534,7 @@ def _arc_preimage(params: MetricParams, z0: complex, phi: float,
     return s_end, _node_lift(nodes, form.positions, signed, targets)
 
 # ---------------------------------------------------------------------------
-# spherical trigonometry and the decomposition report
-
-def spherical_angle(a_opposite: float, b: float, c: float) -> float:
-    """Angle opposite side ``a`` in a spherical triangle with sides (a, b, c).
-
-    Spherical law of cosines, with the arccos argument clamped when it
-    overshoots [-1, 1] by at most 1e-12.
-    """
-    tol = 1e-9
-    for name, v in (("a", a_opposite), ("b", b), ("c", c)):
-        if not (0.0 < v < math.pi):
-            raise DegenerateTriangle(f"side {name} = {v} outside (0, pi)")
-    if (a_opposite > b + c + tol or b > a_opposite + c + tol
-            or c > a_opposite + b + tol or a_opposite + b + c > 2.0 * math.pi + tol):
-        raise DegenerateTriangle(
-            f"sides ({a_opposite}, {b}, {c}) violate the spherical triangle inequality")
-    sb, sc = math.sin(b), math.sin(c)
-    if sb * sc < 1e-12:
-        raise DegenerateTriangle("sin(b) sin(c) too small for a stable angle")
-    arg = (math.cos(a_opposite) - math.cos(b) * math.cos(c)) / (sb * sc)
-    if abs(arg) > 1.0:
-        if abs(arg) > 1.0 + 1e-12:
-            raise DegenerateTriangle(f"law-of-cosines argument {arg} outside [-1, 1]")
-        arg = math.copysign(1.0, arg)
-    return math.acos(arg)
-
+# the decomposition report
 
 def _l01_candidates(params: MetricParams) -> list[tuple[float, float, complex, float]]:
     """Every 0-1 path class from every launch point, shortest first.

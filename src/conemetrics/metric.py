@@ -10,14 +10,18 @@ constant ``c`` is conformal,
 which is exactly the pullback of the round sphere metric under the
 (multi-valued) developing map F with |F|^2 = e^s.  Everything in this
 module is a plain function of a :class:`MetricParams`; the only state kept
-is the position and residue tuples a :class:`~conemetrics.forms.CharacterForm`
-builds once.
+is what is built once per form and read on every call: the positions,
+residues and zeros of a :class:`~conemetrics.forms.CharacterForm`, and the
+marked points of a :class:`MetricParams`.
 
-Single points go through the scalar evaluators (``density_at``,
-``phi_at``); the Newton continuation of log F in ``geodesics`` runs its own
-lean loop over the poles instead.  Arrays of points (the curvature stencil, the
-cone-angle contours and the CSV grid) go through one numpy kernel with the
-same formulas; the two paths agree to rounding, not bit for bit.
+Every array of points goes through one numpy kernel (``_evaluate``): the
+curvature stencil, the cone-angle contours, the CSV grid, and the scattered
+points of ``verify``'s checks.  One of those checks compares the kernel with
+the developing route, whose array form (``_developing_density``) is kept
+apart from the kernel on purpose.  The scalar evaluators ``density_at`` and
+``phi_at`` stay as independent oracles of the kernel; the two agree to
+rounding, not bit for bit.  The Newton continuation of log F in
+``geodesics`` runs its own lean loop over the poles.
 
 Around a cone point F is an isometry onto the round sphere, so the distance
 to the vertex is closed-form (``vertex_distance``): ``2 arctan |F|^{+-1}``
@@ -30,17 +34,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import forms
 from .errors import (
-    EvalAtPole,
     NotASingularPoint,
     QuadratureNearPole,
     StencilHitsSingularity,
 )
-from .forms import INFINITY, POLE_GUARD, CharacterForm, coefficient_at
+from .forms import INFINITY, POLE_GUARD, CharacterForm
 
 #: default finite-difference step for curvature stencils; balances O(h^2)
 #: truncation against O(ulp/h^2) rounding in double precision
@@ -49,10 +53,25 @@ CURVATURE_STEP = 1e-4
 
 @dataclass(frozen=True)
 class MetricParams:
-    """A character form together with the additive log-scale constant c."""
+    """A character form together with the additive log-scale constant c.
+
+    The marked points are found on first use and kept, since the checks and
+    the cone-point closed forms read them on every call.
+    """
 
     form: CharacterForm
     c_log: float = 0.0
+
+    @cached_property
+    def marked(self) -> tuple[tuple[object, str, float], ...]:
+        """The marked points; see :func:`singular_points`."""
+        form = self.form
+        out = [(p.position, "pole", abs(p.residue)) for p in form.poles]
+        out += [(root, "zero", order + 1.0) for root, order in form.zeros]
+        res_inf = forms.residue_at_infinity(form)
+        if res_inf != 0.0:
+            out.append((INFINITY, "infinity", abs(res_inf)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -127,18 +146,31 @@ def developing_modulus(params: MetricParams, z) -> float:
 
 
 def density_via_developing(params: MetricParams, z) -> float:
-    """lambda^2 via the developing route 4 |F'|^2 / (1 + |F|^2)^2.
+    """lambda^2 via the developing route 4 |F'|^2 / (1 + |F|^2)^2, at one point.
+
+    A one-point call of :func:`_developing_density`; raises ``EvalAtPole``
+    within ``POLE_GUARD`` of a pole.
+    """
+    z = forms._require_off_poles(params.form, z)
+    return float(_developing_density(params, np.array([z]))[0])
+
+
+def _developing_density(params: MetricParams, z: np.ndarray) -> np.ndarray:
+    """lambda^2 via the developing route over a complex array of points off the poles.
 
     Uses |F'| = |F| |f| (logarithmic differentiation), so no branch of F is
-    ever differentiated.  Agrees with :func:`density_at` to roundoff; the
-    two routes share no arithmetic beyond f itself.
+    ever differentiated, and builds ``u = |F|^2 = e^c prod_k |z - p_k|^{2 r_k}``
+    as a product, not from the kernel's log-sum: it agrees with
+    :func:`_evaluate` to roundoff, and the two routes share no arithmetic
+    beyond f itself.  Where u overflows the density is taken as 0.
     """
-    f = coefficient_at(params.form, z)
-    big_f = developing_modulus(params, z)
-    u = big_f * big_f
-    if math.isinf(u):
-        return 0.0
-    return 4.0 * u * (f.real * f.real + f.imag * f.imag) / (1.0 + u) ** 2
+    f = forms._coefficient(params.form, z)
+    with np.errstate(all="ignore"):
+        u = np.full(z.shape, np.exp(params.c_log))
+        for p in params.form.poles:
+            u *= np.abs(z - p.position) ** (2.0 * p.residue)
+        density = 4.0 * u * (f.real * f.real + f.imag * f.imag) / (1.0 + u) ** 2
+    return np.where(np.isinf(u), 0.0, density)
 
 
 def _evaluate(params: MetricParams, z: np.ndarray):
@@ -216,24 +248,37 @@ def gauss_curvature_fd(params: MetricParams, z, h: float = CURVATURE_STEP) -> fl
 
 
 def phi_gradient_check(params: MetricParams, z, h: float = 1e-5) -> float:
-    """Residual of the defining gradient identity for Phi.
+    """Residual of the defining gradient identity for Phi at one point.
+
+    A one-point call of :func:`_phi_gradient_residuals`.
+    """
+    z = forms._as_finite_complex(z)
+    return float(_phi_gradient_residuals(params, np.array([z]), h)[0])
+
+
+def _phi_gradient_residuals(params: MetricParams, z: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Residual of the defining gradient identity for Phi at each point of ``z``.
 
     Checks grad Phi = Phi(4-Phi)/4 * (2 Re f, -2 Im f) with a central
-    difference on the left, normalised by max(1, |grad Phi|).
+    difference on the left, normalised by max(1, |grad Phi|).  Phi comes
+    from one kernel call on the stacked stencil ``z, z +- h, z +- ih``;
+    raises ``StencilHitsSingularity`` where a stencil point lies within
+    ``POLE_GUARD`` of a pole.
     """
-    z = complex(z)
-    try:
-        dphi_dx = (phi_at(params, z + h) - phi_at(params, z - h)) / (2.0 * h)
-        dphi_dy = (phi_at(params, z + 1j * h) - phi_at(params, z - 1j * h)) / (2.0 * h)
-        phi = phi_at(params, z)
-        f = coefficient_at(params.form, z)
-    except EvalAtPole as exc:
-        raise StencilHitsSingularity(f"gradient stencil at {z} touched a pole") from exc
-    factor = phi * (4.0 - phi) / 4.0
+    arms = np.array([0.0, h, -h, 1j * h, -1j * h]).reshape((5,) + (1,) * z.ndim)
+    _, phi, _ = _evaluate(params, z + arms)
+    f = forms._coefficient(params.form, z)
+    dphi_dx = (phi[1] - phi[2]) / (2.0 * h)
+    dphi_dy = (phi[3] - phi[4]) / (2.0 * h)
+    factor = phi[0] * (4.0 - phi[0]) / 4.0
     rx = dphi_dx - factor * 2.0 * f.real
     ry = dphi_dy - factor * (-2.0) * f.imag
-    norm = math.hypot(dphi_dx, dphi_dy)
-    return math.hypot(rx, ry) / max(1.0, norm)
+    residual = np.hypot(rx, ry) / np.maximum(1.0, np.hypot(dphi_dx, dphi_dy))
+    hit = np.flatnonzero(np.isnan(residual))
+    if hit.size:
+        raise StencilHitsSingularity(
+            f"gradient stencil at {complex(z.flat[hit[0]])} touched a pole")
+    return residual
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +289,10 @@ def singular_points(params: MetricParams) -> list[tuple[object, str, float]]:
 
     ``kind`` is "pole", "zero" or "infinity"; the coefficient k gives cone
     angle 2 pi k (poles: |residue|; zeros: order + 1; infinity: |implied
-    residue|).  Smooth points (coefficient 1) are still listed.
+    residue|).  Smooth points (coefficient 1) are still listed.  They are
+    found once per metric; each call returns a fresh list.
     """
-    out: list[tuple[object, str, float]] = []
-    for p in params.form.poles:
-        out.append((p.position, "pole", abs(p.residue)))
-    for root, order in forms.finite_zeros(params.form):
-        out.append((root, "zero", order + 1.0))
-    res_inf = forms.residue_at_infinity(params.form)
-    if res_inf != 0.0:
-        out.append((INFINITY, "infinity", abs(res_inf)))
-    return out
+    return list(params.marked)
 
 
 def _classify_singular(params: MetricParams, p, match_tol: float = 1e-9):
@@ -268,8 +306,8 @@ def _classify_singular(params: MetricParams, p, match_tol: float = 1e-9):
     for spec in params.form.poles:
         if abs(p - spec.position) <= match_tol:
             return "pole", spec.residue
-    for root, _ in forms.finite_zeros(params.form):
-        if abs(p - root) <= max(match_tol, 1e-7):
+    for q, kind, _ in params.marked:
+        if kind == "zero" and abs(p - q) <= max(match_tol, 1e-7):
             return "zero", 0.0
     raise NotASingularPoint(f"{p} is neither a pole, a zero, nor infinity")
 

@@ -1,14 +1,18 @@
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import conemetrics
-from conemetrics import cli, families
+from conemetrics import cli, families, forms, metric
+from conemetrics.forms import INFINITY
 
 
 def run(capsys, *argv):
@@ -154,3 +158,160 @@ def test_plot_and_verify_print_only_their_results(capsys, tmp_path, config):
     assert tuple(line.split(":")[0] for line in lines[:-1]) == VERIFY_CHECKS[config[1]]
     assert all(re.fullmatch(r"\S+: residual=\S+ tol=\S+ PASS", line) for line in lines[:-1])
     assert lines[-1] == "all checks passed"
+
+
+def test_main_carries_no_flag_over_between_calls(capsys):
+    # the parser is built once per process; each call must parse into a
+    # fresh namespace, with every default back in place
+    code, out = run(capsys, "report", "--family", "threefb", "--special", "--pbeta", "0.3+0.2i")
+    assert code == 0
+    assert set(json.loads(out)) == {"ell1", "ell2", "L01", "theta"}
+    code, out = run(capsys, "report", "--family", "heart")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["c"] == 0.0
+    assert payload["L01"] == pytest.approx(math.pi / 2.0, abs=1e-14)
+    assert cli.main(["verify", "--family", "heart", "--grid", "-3,3,-3,3,1,61"]) == 2
+    capsys.readouterr()
+    code, out = run(capsys, "verify", "--family", "heart")
+    assert code == 0
+    assert out.splitlines()[-1] == "all checks passed"
+    for argv in (["report", "--family", "heart"], ["verify", "--family", "threefb"]):
+        fresh = cli._build_parser.__wrapped__().parse_args(argv)
+        assert vars(cli._build_parser().parse_args(argv)) == vars(fresh)
+
+
+# ---------------------------------------------------------------------------
+# the array checks of run_checks against the scalar loops they replaced
+
+def scalar_sample_points(mp, count, seed, box=3.0, clearance=0.05):
+    rng = random.Random(seed)
+    singular = [q for q, _, _ in metric.singular_points(mp) if q is not INFINITY]
+    out = []
+    while len(out) < count:
+        z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
+        if all(abs(z - q) > clearance for q in singular):
+            out.append(z)
+    return out
+
+
+def scalar_density_via_developing(mp, z):
+    """The developing route at one point, from |F| = developing_modulus squared."""
+    f = forms.coefficient_at(mp.form, z)
+    big_f = metric.developing_modulus(mp, z)
+    u = big_f * big_f
+    if math.isinf(u):
+        return 0.0
+    return 4.0 * u * (f.real * f.real + f.imag * f.imag) / (1.0 + u) ** 2
+
+
+def scalar_phi_gradient_check(mp, z, h=1e-5):
+    """The gradient identity for Phi at one point, from five phi_at calls."""
+    dphi_dx = (metric.phi_at(mp, z + h) - metric.phi_at(mp, z - h)) / (2.0 * h)
+    dphi_dy = (metric.phi_at(mp, z + 1j * h) - metric.phi_at(mp, z - 1j * h)) / (2.0 * h)
+    phi = metric.phi_at(mp, z)
+    f = forms.coefficient_at(mp.form, z)
+    factor = phi * (4.0 - phi) / 4.0
+    rx = dphi_dx - factor * 2.0 * f.real
+    ry = dphi_dy - factor * (-2.0) * f.imag
+    return math.hypot(rx, ry) / max(1.0, math.hypot(dphi_dx, dphi_dy))
+
+
+def scalar_checks(cfg):
+    """Residuals of the scattered-point checks and the curvature cells, one point at a time."""
+    mp = cfg.metric_params()
+    out = {}
+    if cfg.family == "heart":
+        beta = cfg.heart.beta
+        gamma = 1.0 - beta
+        worst = 0.0
+        for z in scalar_sample_points(mp, 50, seed=7):
+            lhs = forms.coefficient_at(mp.form, z)
+            rhs = z / ((z - 1.0) * (z + gamma / beta))
+            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        out["product-form"] = worst
+    worst = 0.0
+    for z in scalar_sample_points(mp, 300, seed=11):
+        a = metric.density_at(mp, z)
+        b = scalar_density_via_developing(mp, z)
+        worst = max(worst, abs(a - b) / max(a, b, 1e-300))
+    out["metric-equivalence"] = worst
+    worst = 0.0
+    for z in scalar_sample_points(mp, 100, seed=13):
+        worst = max(worst, scalar_phi_gradient_check(mp, z))
+    out["dphi-identity"] = worst
+    singular = [q for q, _, _ in metric.singular_points(mp) if q is not INFINITY]
+    g = cfg.grid
+    cells = []
+    for iy in range(0, g.ny, max(1, g.ny // 24)):
+        for ix in range(0, g.nx, max(1, g.nx // 24)):
+            z = complex(g.x_min + (g.x_max - g.x_min) * ix / (g.nx - 1),
+                        g.y_min + (g.y_max - g.y_min) * iy / (g.ny - 1))
+            if min(abs(z - q) for q in singular) > 0.1:
+                cells.append(z)
+    out["curvature"] = float(np.max(np.abs(metric.curvature_field(mp, np.array(cells)) - 1.0)))
+    return out, cells
+
+
+def verify_config(flags):
+    return cli.build_config(cli._build_parser().parse_args(["verify", *flags]))
+
+
+ORACLE_CONFIGS = {
+    "heart-0.5": ("--family=heart", "--beta=0.5"),
+    "heart-0.15": ("--family=heart", "--beta=0.15"),
+    "heart-0.15-c0.4": ("--family=heart", "--beta=0.15", "--c=0.4"),
+    "special-0.3+0.2i": ("--family=threefb", "--special", "--pbeta=0.3+0.2i"),
+    "special-0.5": ("--family=threefb", "--special", "--pbeta=0.5"),
+    "seeded-2": ("--family=threefb", "--alpha=0.5352380008372493", "--beta=0.5838368073194037",
+                 "--gamma=1.0513278238693402", "--pbeta=-1.0607119402740133-1.3455340596180707i",
+                 "--branch=plus", "--camp=0.3621265435836514"),
+    "seeded-4": ("--family=threefb", "--alpha=1.262185317773029", "--beta=0.29647508489840785",
+                 "--gamma=0.4115199854069033", "--pbeta=-1.2263597072434105+0.6926186654378874i",
+                 "--branch=minus", "--camp=2.9675725092831224"),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CONFIGS)
+def test_array_checks_match_the_scalar_loops(name):
+    cfg = verify_config(ORACLE_CONFIGS[name])
+    mp = cfg.metric_params()
+    expected, cells = scalar_checks(cfg)
+    got = {check: (residual, bound) for check, residual, bound in cli.run_checks(cfg)}
+    for check, residual in expected.items():
+        array_residual, bound = got[check]
+        assert residual <= bound, (check, residual)
+        assert array_residual <= bound, (check, array_residual)
+    assert cli._curvature_cells(mp, cfg.grid).tolist() == cells
+    assert got["curvature"][0] == expected["curvature"]
+
+    points = scalar_sample_points(mp, 300, seed=11)
+    developed = metric._developing_density(mp, np.array(points))
+    for z, value in zip(points, developed.tolist()):
+        one_point = metric.density_via_developing(mp, z)
+        assert abs(value - one_point) <= 1e-14 * max(value, one_point), z
+        # f is a sum that may cancel, and numpy divides complex numbers with
+        # other roundings than Python: bound the difference by the size of
+        # the summands, as test_csv_matches_scalar_path does
+        reference = scalar_density_via_developing(mp, z)
+        big_f = metric.developing_modulus(mp, z)
+        u = big_f * big_f
+        terms = math.fsum(abs(p.residue / (z - p.position)) for p in mp.form.poles)
+        assert abs(value - reference) <= 1e-14 * 4.0 * u / (1.0 + u) ** 2 * terms * terms, z
+    points = scalar_sample_points(mp, 100, seed=13)
+    residuals = metric._phi_gradient_residuals(mp, np.array(points))
+    for z, value in zip(points, residuals.tolist()):
+        assert abs(value - scalar_phi_gradient_check(mp, z)) <= 1e-9, z
+
+
+@pytest.mark.parametrize("name", ["heart-0.5", "special-0.3+0.2i"])
+@pytest.mark.parametrize("seed,count,clearance", [
+    (7, 50, 0.05), (11, 300, 0.05), (13, 100, 0.05),
+    # a clearance that rejects about a third of the candidates, so that
+    # several batches are drawn
+    (11, 300, 1.0),
+])
+def test_sample_points_are_the_scalar_draws(name, seed, count, clearance):
+    mp = verify_config(ORACLE_CONFIGS[name]).metric_params()
+    got = cli._sample_points(mp, count, seed=seed, clearance=clearance)
+    assert got.tolist() == scalar_sample_points(mp, count, seed, clearance=clearance)

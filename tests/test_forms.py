@@ -19,6 +19,11 @@ def heart(beta):
     return heart_form(beta)
 
 
+def min_pole_distance(form, z):
+    z = complex(z)
+    return min(abs(z - p) for p in form.positions)
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -102,7 +107,7 @@ def test_derivative_matches_central_difference():
     checked = 0
     while checked < 100:
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if forms.min_pole_distance(form, z) < 0.05:
+        if min_pole_distance(form, z) < 0.05:
             continue
         fd = (forms.coefficient_at(form, z + h) - forms.coefficient_at(form, z - h)) / (2 * h)
         exact = forms.coefficient_derivative_at(form, z)
@@ -175,6 +180,18 @@ def test_finite_zeros_residue_cancellation_leaves_constant():
     assert forms.finite_zeros(form) == []
 
 
+def test_finite_zeros_returns_a_fresh_list():
+    # the zeros are solved once per form: a caller that edits the list it
+    # got must not change what the next caller gets
+    form = forms.make_form([(1.0, 0.6), (-2.0, -0.3), (0.5j, 0.9)])
+    zeros = forms.finite_zeros(form)
+    expected = list(zeros)
+    assert len(expected) == 2
+    zeros.append((5.0, 1))
+    zeros[0] = (9.0, 3)
+    assert forms.finite_zeros(form) == expected
+
+
 # ---------------------------------------------------------------------------
 # potential
 
@@ -198,7 +215,7 @@ def test_potential_gradient_is_coefficient_pairing():
     checked = 0
     while checked < 100:
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if forms.min_pole_distance(form, z) < 0.05:
+        if min_pole_distance(form, z) < 0.05:
             continue
         gx = (forms.potential_at(form, z + h) - forms.potential_at(form, z - h)) / (2 * h)
         gy = (forms.potential_at(form, z + 1j * h) - forms.potential_at(form, z - 1j * h)) / (2 * h)

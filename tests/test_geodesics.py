@@ -9,7 +9,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from conemetrics import forms, geodesics, metric
-from conemetrics.errors import DegenerateTriangle, EndpointNotReached, EvalAtPole, TraceDiverged
+from conemetrics.errors import ConeMetricError, EndpointNotReached, EvalAtPole, TraceDiverged
 from conemetrics.families import (
     AngleTriple,
     Branch,
@@ -27,7 +27,6 @@ from conemetrics.geodesics import (
     l01_side,
     path_length,
     radial_length,
-    spherical_angle,
     three_football_lengths,
     trace_radial_preimage,
 )
@@ -410,7 +409,37 @@ def test_geodesic_path_json_keys():
 
 
 # ---------------------------------------------------------------------------
-# spherical trigonometry
+# spherical trigonometry: the law-of-cosines angle, an oracle for the report's
+# theta, which the program takes as the developing phase |phi|
+
+class DegenerateTriangle(ConeMetricError):
+    """Spherical triangle data violates the triangle inequality or is degenerate."""
+
+
+def spherical_angle(a_opposite: float, b: float, c: float) -> float:
+    """Angle opposite side ``a`` in a spherical triangle with sides (a, b, c).
+
+    Spherical law of cosines, with the arccos argument clamped when it
+    overshoots [-1, 1] by at most 1e-12.
+    """
+    tol = 1e-9
+    for name, v in (("a", a_opposite), ("b", b), ("c", c)):
+        if not (0.0 < v < math.pi):
+            raise DegenerateTriangle(f"side {name} = {v} outside (0, pi)")
+    if (a_opposite > b + c + tol or b > a_opposite + c + tol
+            or c > a_opposite + b + tol or a_opposite + b + c > 2.0 * math.pi + tol):
+        raise DegenerateTriangle(
+            f"sides ({a_opposite}, {b}, {c}) violate the spherical triangle inequality")
+    sb, sc = math.sin(b), math.sin(c)
+    if sb * sc < 1e-12:
+        raise DegenerateTriangle("sin(b) sin(c) too small for a stable angle")
+    arg = (math.cos(a_opposite) - math.cos(b) * math.cos(c)) / (sb * sc)
+    if abs(arg) > 1.0:
+        if abs(arg) > 1.0 + 1e-12:
+            raise DegenerateTriangle(f"law-of-cosines argument {arg} outside [-1, 1]")
+        arg = math.copysign(1.0, arg)
+    return math.acos(arg)
+
 
 def test_spherical_angle_octant():
     assert spherical_angle(math.pi / 2, math.pi / 2, math.pi / 2) == pytest.approx(math.pi / 2)

@@ -281,6 +281,16 @@ def test_cone_angles_heart(case):
         assert abs(est - expected) <= 0.01 * expected, (p, est, expected)
 
 
+def test_singular_points_returns_a_fresh_list():
+    mp = heart_metric(HeartParams(0.5, 0.0))
+    marked = metric.singular_points(mp)
+    expected = list(marked)
+    assert [kind for _, kind, _ in expected] == ["pole", "pole", "zero", "infinity"]
+    marked.clear()
+    assert metric.singular_points(mp) == expected
+    assert cone_angle_estimate(mp, 0.0) == pytest.approx(4.0 * math.pi, rel=1e-2)
+
+
 def test_cone_angle_rejects_regular_point():
     mp = heart_metric(HeartParams(0.5, 0.0))
     with pytest.raises(NotASingularPoint):

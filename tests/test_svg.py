@@ -96,7 +96,10 @@ def test_level_set_segments_on_a_smooth_field_at_many_levels():
 @pytest.mark.parametrize("flags,marks", [
     (["--family", "heart", "--beta", "0.5"], 4),
     (["--family", "threefb", "--special", "--pbeta", "0.3+0.2i"], 6),
-], ids=["heart-0.5", "special-0.3+0.2i"])
+    # at the anchor no launch from 0 reaches infinity; the first launch from
+    # the zero at 1 does
+    (["--family", "threefb", "--special", "--pbeta", "0.5"], 6),
+], ids=["heart-0.5", "special-0.3+0.2i", "special-0.5"])
 def test_plot_draws_every_geodesic_deterministically(capsys, tmp_path, flags, marks):
     texts = []
     for name in ("first", "second"):
