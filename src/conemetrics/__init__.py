@@ -39,13 +39,11 @@ from .geodesics import (
     GeodesicPath,
     TriangleReport,
     decomposition_report,
-    path_length,
     radial_length,
     three_football_lengths,
     trace_radial_preimage,
 )
 from .metric import (
-    DensityField,
     MetricParams,
     cone_angle_estimate,
     density_at,
@@ -59,7 +57,7 @@ from .metric import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleTriple", "Branch", "CharacterForm", "ConeMetricError", "DensityField",
+    "AngleTriple", "Branch", "CharacterForm", "ConeMetricError",
     "GeodesicPath", "HeartParams", "INFINITY", "MetricParams", "PoleSpec",
     "ThreeFootballParams", "TriangleReport", "coefficient_at",
     "coefficient_derivative_at", "cone_angle_estimate", "constraint_residual",
@@ -67,7 +65,7 @@ __all__ = [
     "developing_modulus", "families", "finite_zeros", "forms",
     "gauss_curvature_fd", "geodesics", "heart_apex_image",
     "heart_form", "heart_metric", "make_form", "make_three_football", "metric",
-    "path_length", "phi_at", "phi_gradient_check", "potential_at",
+    "phi_at", "phi_gradient_check", "potential_at",
     "radial_length", "residue_at_infinity", "solve_pole_positions",
     "special_case_angles", "special_case_poles",
     "three_football_form", "three_football_lengths", "three_football_metric",

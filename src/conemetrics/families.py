@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -76,14 +75,6 @@ class HeartParams:
     @property
     def gamma(self) -> float:
         return 1.0 - self.beta
-
-    def to_json(self) -> str:
-        return json.dumps({"beta": self.beta, "c_log": self.c_log})
-
-    @classmethod
-    def from_json(cls, text: str) -> "HeartParams":
-        payload = json.loads(text)
-        return cls(beta=payload["beta"], c_log=payload["c_log"])
 
 
 def heart_form(beta: float) -> CharacterForm:
@@ -333,6 +324,12 @@ def solve_pole_positions(angles: AngleTriple, p_beta: complex,
 
     denom = be * p_gamma - ga * p_beta
     if abs(denom) <= 1e-12 * (abs(be * p_gamma) + abs(ga * p_beta)):
+        if be == ga:
+            # clearing denominators adds the root P_gamma = P_beta when beta = gamma
+            raise DivisionByZero(
+                f"beta = gamma = {be!r}, and the {branch.value} branch picked the spurious "
+                "root P_gamma = P_beta of the cleared pole quadratic, so beta P_gamma - "
+                "gamma P_beta vanished while eliminating P_alpha; try the other branch")
         raise DivisionByZero("beta P_gamma - gamma P_beta vanished while eliminating P_alpha")
     p_alpha = (al + be) * p_beta * p_gamma / denom
 
@@ -397,27 +394,6 @@ class ThreeFootballParams:
     def c_log(self) -> float:
         """Log-scale constant of the metric: |F|^2 = e^{potential + c_log}."""
         return 2.0 * math.log(self.c_amp)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "alpha": self.angles.alpha,
-            "beta": self.angles.beta,
-            "gamma": self.angles.gamma,
-            "p_beta_re": self.p_beta.real,
-            "p_beta_im": self.p_beta.imag,
-            "branch": self.branch.value,
-            "c_amp": self.c_amp,
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "ThreeFootballParams":
-        payload = json.loads(text)
-        return make_three_football(
-            AngleTriple(payload["alpha"], payload["beta"], payload["gamma"]),
-            complex(payload["p_beta_re"], payload["p_beta_im"]),
-            Branch(payload["branch"]),
-            payload["c_amp"],
-        )
 
 
 def make_three_football(angles: AngleTriple, p_beta: complex,

@@ -19,7 +19,6 @@ feeds on.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -214,23 +213,3 @@ def _solve_zeros(form: CharacterForm) -> tuple[tuple[complex, int], ...]:
     else:
         roots = list(np.roots(trimmed))
     return tuple((complex(r), 1) for r in sorted(roots, key=lambda w: (w.real, w.imag)))
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format: {"poles": [{"re": ..., "im": ..., "residue": ...}, ...]}
-
-def form_to_json(form: CharacterForm) -> str:
-    payload = {
-        "poles": [
-            {"re": p.position.real, "im": p.position.imag, "residue": p.residue}
-            for p in form.poles
-        ]
-    }
-    return json.dumps(payload)
-
-
-def form_from_json(text: str) -> CharacterForm:
-    payload = json.loads(text)
-    return make_form(
-        (complex(item["re"], item["im"]), item["residue"]) for item in payload["poles"]
-    )

@@ -36,14 +36,11 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-# no longer called: kept bound here because the benchmark's tracer
-# (perfbench/spans.py) wraps ``geodesics.solve_ivp`` by name
-from scipy.integrate import solve_ivp  # noqa: F401
 
 from .errors import EndpointNotReached, TraceDiverged
 from .families import ThreeFootballParams, three_football_metric
 from .forms import INFINITY, CharacterForm, coefficient_derivative_at, finite_zeros
-from .metric import MetricParams, density_at, developing_modulus, vertex_distance
+from .metric import MetricParams, developing_modulus, vertex_distance
 
 #: chart offset from which paths launch out of a cone point
 LAUNCH_OFFSET = 1e-4
@@ -66,29 +63,34 @@ _MAX_STEPS = 20_000
 _ULP = sys.float_info.epsilon
 
 
+def __getattr__(name: str):
+    # No program path calls scipy, so importing this module loads none of it.
+    # The benchmark's tracer (perfbench/spans.py) still looks up
+    # ``geodesics.solve_ivp`` by name; it gets scipy's on demand.  This lookup
+    # goes with the benchmark change of ROADMAP item 1, which drops that span.
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 @dataclass
 class GeodesicPath:
     """A sampled geodesic with its accumulated metric length.
 
     ``length`` is the full metric length between the requested endpoints,
-    including the two cone-approach stubs recorded in ``stub_lengths``;
-    ``path_length`` over ``samples`` recovers ``length - sum(stub_lengths)``
-    up to quadrature error.  ``endpoint_defect`` is the chart distance from
-    the last sample to the requested target (measured in the w = 1/z chart
-    when the target is INFINITY).
+    including the two cone-approach stubs recorded in ``stub_lengths``; the
+    metric length of the polyline through ``samples`` is
+    ``length - sum(stub_lengths)`` up to quadrature error.
+    ``endpoint_defect`` is the chart distance from the last sample to the
+    requested target (measured in the w = 1/z chart when the target is
+    INFINITY).
     """
 
     samples: list[complex]
     length: float
     endpoint_defect: float
     stub_lengths: tuple[float, float] = (0.0, 0.0)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "samples": [[z.real, z.imag] for z in self.samples],
-            "length": self.length,
-            "endpoint_defect": self.endpoint_defect,
-        })
 
 
 @dataclass(frozen=True)
@@ -129,21 +131,6 @@ def three_football_lengths(params: MetricParams) -> tuple[float, float]:
     ell1 = math.pi - 2.0 * math.atan(developing_modulus(params, 1.0))
     ell2 = math.pi - 2.0 * math.atan(developing_modulus(params, 0.0))
     return ell1, ell2
-
-
-# ---------------------------------------------------------------------------
-# polyline quadrature
-
-def path_length(params: MetricParams, samples) -> float:
-    """Composite per-segment midpoint quadrature of sqrt(density) along a polyline."""
-    pts = [complex(z) for z in samples]
-    if len(pts) < 2:
-        return 0.0
-    total = 0.0
-    for z0, z1 in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (z0 + z1)
-        total += math.sqrt(density_at(params, mid)) * abs(z1 - z0)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -74,16 +74,6 @@ class MetricParams:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class DensityField:
-    """Callable view of the conformal density z -> lambda^2(z)."""
-
-    params: MetricParams
-
-    def __call__(self, z) -> float:
-        return density_at(self.params, z)
-
-
 def _sigmoid(s: float) -> float:
     """Overflow-free logistic 1 / (1 + e^-s)."""
     if s >= 0.0:
@@ -342,6 +332,12 @@ def vertex_distance(params: MetricParams, p, z) -> np.ndarray:
         return 2.0 * np.arctan(np.abs(np.expm1(log_ratio))
                                / np.abs(1.0 / m + m * np.exp(log_ratio)))
     s, _, _ = _evaluate(params, z)
+    return _distance_to_pole(s, residue)
+
+
+def _distance_to_pole(s: np.ndarray, residue: float) -> np.ndarray:
+    """``2 arctan e^{sigma s / 2}``: the distance to a vertex that develops to 0 or
+    infinity, from the kernel's ``s``, ``sigma`` being the sign of the residue there."""
     return 2.0 * np.arctan(np.exp(math.copysign(0.5, residue) * s))
 
 
@@ -362,7 +358,7 @@ def cone_angle_estimate(params: MetricParams, p, eps: float = 1e-3, n: int = 102
         raise ValueError(f"eps={eps} outside [1e-5, 1e-2]")
     if n < 256:
         raise ValueError(f"need at least 256 contour nodes, got {n}")
-    kind, _ = _classify_singular(params, p)
+    kind, residue = _classify_singular(params, p)
     circle = eps * np.exp(2j * math.pi / n * np.arange(n))
 
     if kind == "infinity":
@@ -382,8 +378,9 @@ def cone_angle_estimate(params: MetricParams, p, eps: float = 1e-3, n: int = 102
         z = center + circle
         chart_scale = 1.0
 
-    _, _, density = _evaluate(params, z)
-    arc = np.sqrt(density) / np.sin(vertex_distance(params, p, z))
+    s, _, density = _evaluate(params, z)
+    rho = vertex_distance(params, p, z) if kind == "zero" else _distance_to_pole(s, residue)
+    arc = np.sqrt(density) / np.sin(rho)
     return float(chart_scale * eps * 2.0 * math.pi / n * np.sum(arc))
 
 

@@ -54,15 +54,53 @@ def test_pole_values_may_start_with_a_dash(capsys, tmp_path):
             == (tmp_path / "joined" / "sample.csv").read_bytes())
 
 
-def test_module_entry_point_runs_without_warnings():
+def fresh_interpreter_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(conemetrics.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_entry_point_runs_without_warnings():
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "conemetrics.cli", "--help"],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=fresh_interpreter_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "verify" in done.stdout
+
+
+VERIFY_LOADING_NO_SCIPY = """
+import contextlib, io, json, sys
+from conemetrics import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["verify", "--family", "heart", "--beta", "0.5"]),
+             cli.main(["verify", "--family", "threefb", "--special", "--pbeta", "0.3+0.2i"])]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_cli_imports_and_verifies_without_scipy():
+    # no program path calls scipy, so a fresh process that runs verify loads none of it
+    done = subprocess.run([sys.executable, "-c", VERIFY_LOADING_NO_SCIPY],
+                          env=fresh_interpreter_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0, 0], "scipy": []}
+
+
+def test_geodesics_lends_scipys_solve_ivp_by_name():
+    # the benchmark's tracer looks up geodesics.solve_ivp; other names stay missing
+    import scipy.integrate
+
+    from conemetrics import geodesics
+
+    assert geodesics.solve_ivp is scipy.integrate.solve_ivp
+    with pytest.raises(AttributeError):
+        getattr(geodesics, "no_such_name")
+    with pytest.raises(ImportError):
+        from conemetrics.geodesics import no_such_name  # noqa: F401
 
 
 def test_verify_flags_a_corrupted_palpha_override(capsys):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -222,30 +221,3 @@ def test_potential_gradient_is_coefficient_pairing():
         f = forms.coefficient_at(form, z)
         assert math.hypot(gx - 2 * f.real, gy + 2 * f.imag) <= 1e-6 * max(1.0, math.hypot(gx, gy))
         checked += 1
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip
-
-def test_json_wire_format():
-    form = forms.make_form([(1.0, 0.6), (complex(-2.0 / 3.0, 0.0), 0.4)])
-    payload = json.loads(forms.form_to_json(form))
-    assert payload == {
-        "poles": [
-            {"re": 1.0, "im": 0.0, "residue": 0.6},
-            {"re": -2.0 / 3.0, "im": 0.0, "residue": 0.4},
-        ]
-    }
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(
-    st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
-    st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
-    st.one_of(st.floats(min_value=1e-9, max_value=1e9),
-              st.floats(min_value=-1e9, max_value=-1e-9)),
-), min_size=2, max_size=5, unique_by=lambda t: (t[0], t[1])))
-def test_json_round_trip_exact(entries):
-    form = forms.make_form([(complex(re, im), r) for re, im, r in entries])
-    back = forms.form_from_json(forms.form_to_json(form))
-    assert back == form

@@ -25,12 +25,11 @@ from conemetrics.geodesics import (
     GeodesicPath,
     decomposition_report,
     l01_side,
-    path_length,
     radial_length,
     three_football_lengths,
     trace_radial_preimage,
 )
-from conemetrics.metric import MetricParams, developing_modulus, vertex_distance
+from conemetrics.metric import MetricParams, density_at, developing_modulus, vertex_distance
 
 
 def round_fixture():
@@ -115,7 +114,19 @@ def test_three_football_pi_sums():
 
 
 # ---------------------------------------------------------------------------
-# polyline quadrature
+# polyline quadrature: the oracle for the lengths of sampled paths
+
+def path_length(params: MetricParams, samples) -> float:
+    """Composite per-segment midpoint quadrature of sqrt(density) along a polyline."""
+    pts = [complex(z) for z in samples]
+    if len(pts) < 2:
+        return 0.0
+    total = 0.0
+    for z0, z1 in zip(pts[:-1], pts[1:]):
+        mid = 0.5 * (z0 + z1)
+        total += math.sqrt(density_at(params, mid)) * abs(z1 - z0)
+    return total
+
 
 def test_path_length_round_fixture_segment():
     # the straight segment [0, 1] develops onto a radial line, so its
@@ -398,14 +409,6 @@ def test_radial_trace_keeps_arg_f_constant(name):
         drift = np.cumsum(sum(r * np.angle((z[1:] - p) / (z[:-1] - p))
                               for p, r in zip(form.positions, form.residues)))
         assert np.max(np.abs(drift)) <= 1e-9, (a, b, u)
-
-
-def test_geodesic_path_json_keys():
-    path = GeodesicPath(samples=[0.0 + 0.0j, 1.0 + 2.0j], length=1.5,
-                        endpoint_defect=1e-9)
-    payload = json.loads(path.to_json())
-    assert set(payload) == {"samples", "length", "endpoint_defect"}
-    assert payload["samples"] == [[0.0, 0.0], [1.0, 2.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from conemetrics.families import (
 )
 from conemetrics.forms import INFINITY
 from conemetrics.metric import (
-    DensityField,
     MetricParams,
     cone_angle_estimate,
     curvature_field,
@@ -147,12 +146,6 @@ def test_density_guard_near_pole():
         density_at(mp, 1.0 + 1e-13)
     with pytest.raises(EvalAtPole):
         density_via_developing(mp, -1.0 + 1e-13 * 1j)
-
-
-def test_density_field_callable():
-    mp = heart_metric(HeartParams(0.5, 0.0))
-    field = DensityField(mp)
-    assert field(1j) == density_at(mp, 1j)
 
 
 # ---------------------------------------------------------------------------
