@@ -211,12 +211,15 @@ def _sample_points(mp: MetricParams, count: int, seed: int = 12345,
     Candidates are ``complex(uniform, uniform)`` draws of ``random.Random(seed)``,
     accepted in order.  Each batch draws only as many candidates as points
     are still missing, so no candidate past the last accepted one is drawn.
+    A batch maps its ``rng.random()`` draws with ``random.uniform``'s own
+    formula, ``a + (b - a) * u``, in one array expression.
     """
     rng = random.Random(seed)
     out = np.empty(0, dtype=complex)
     while out.size < count:
-        draws = [rng.uniform(-box, box) for _ in range(2 * (count - out.size))]
-        z = np.empty(len(draws) // 2, dtype=complex)
+        u = np.array([rng.random() for _ in range(2 * (count - out.size))])
+        draws = -box + (box - -box) * u
+        z = np.empty(u.size // 2, dtype=complex)
         z.real = draws[0::2]
         z.imag = draws[1::2]
         out = np.concatenate([out, z[_clear_of_marks(mp, z, clearance)]])

@@ -164,14 +164,20 @@ def potential_at(form: CharacterForm, z) -> float:
 
 
 def _numerator_coefficients(form: CharacterForm) -> np.ndarray:
-    """Coefficients (descending) of g(z) = sum_k r_k prod_{j != k} (z - p_j)."""
+    """Coefficients (descending) of g(z) = sum_k r_k prod_{j != k} (z - p_j).
+
+    Each product is built one linear factor at a time: multiplying the
+    descending coefficients c by (z - p) gives c_i - p c_{i-1}.
+    """
     positions = form.positions
-    n = len(positions)
-    acc = np.zeros(n, dtype=complex)
-    for k, spec in enumerate(form.poles):
-        others = [positions[j] for j in range(n) if j != k]
-        acc += spec.residue * np.poly(others) if others else spec.residue
-    return acc
+    acc = [0j] * len(positions)
+    for k, r in enumerate(form.residues):
+        prod = [1 + 0j]
+        for j, p in enumerate(positions):
+            if j != k:
+                prod = [a - p * b for a, b in zip(prod + [0j], [0j] + prod)]
+        acc = [s + r * c for s, c in zip(acc, prod)]
+    return np.array(acc)
 
 
 def finite_zeros(form: CharacterForm) -> list[tuple[complex, int]]:

@@ -33,7 +33,9 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,21 +78,27 @@ def __getattr__(name: str):
 
 @dataclass
 class GeodesicPath:
-    """A sampled geodesic with its accumulated metric length.
+    """A traced geodesic: its metric length at once, its chart samples on demand.
 
     ``length`` is the full metric length between the requested endpoints,
     including the two cone-approach stubs recorded in ``stub_lengths``; the
     metric length of the polyline through ``samples`` is
     ``length - sum(stub_lengths)`` up to quadrature error.
-    ``endpoint_defect`` is the chart distance from the last sample to the
-    requested target (measured in the w = 1/z chart when the target is
-    INFINITY).
+    ``endpoint_defect`` is the chart distance from the arrival point, the
+    last sample, to the requested target (measured in the w = 1/z chart when
+    the target is INFINITY).  These three are fields.  ``samples`` is built
+    by the zero-argument ``sampler`` on its first read and kept, so a caller
+    that reads only the length never pays for the sampling.
     """
 
-    samples: list[complex]
     length: float
     endpoint_defect: float
-    stub_lengths: tuple[float, float] = (0.0, 0.0)
+    stub_lengths: tuple[float, float]
+    sampler: Callable[[], list[complex]] = field(repr=False, compare=False)
+
+    @cached_property
+    def samples(self) -> list[complex]:
+        return self.sampler()
 
 
 @dataclass(frozen=True)
@@ -154,19 +162,22 @@ def _correct(positions, signed, z: complex, q: complex, z_new: complex, target: 
     |z'| sum_k |r_k / (z' - p_k)|, the digits log(z' - p_k) loses next to a
     pole.
     """
+    scale = max(1.0, abs(target))
+    poles = [(p, r, z - p) for p, r in zip(positions, signed)]
     for attempt in range(5):
         f = 0j
         spread = 0.0
         q_new = q
-        for p, r in zip(positions, signed):
+        for p, r, base in poles:
             d = z_new - p
             if d == 0.0:
                 return None
-            f += r / d
-            spread += abs(r / d)
-            q_new += r * cmath.log(d / (z - p))
+            term = r / d
+            f += term
+            spread += abs(term)
+            q_new += r * cmath.log(d / base)
         residual = q_new - target
-        if abs(residual) <= 4.0 * _ULP * (max(1.0, abs(target)) + abs(z_new) * spread):
+        if abs(residual) <= 4.0 * _ULP * (scale + abs(z_new) * spread):
             return z_new, q_new, f
         if attempt == 4 or f == 0.0:
             return None
@@ -341,10 +352,13 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
     tau (:func:`_continue`), from the real Q(z_start) = log |F(z_start)|.
     Along it the metric length grows by lambda |dz/dtau| = sech tau: the
     density's |f|^2 cancels against |1/f|^2, so the length between the two
-    ends is 2 |arctan e^tau_end - arctan e^tau_start| in closed form.  The
-    samples are ``n + 1`` tau-uniform points, with every chord longer than
+    ends is 2 |arctan e^tau_end - arctan e^tau_start| in closed form.
+    The length, the stubs and the endpoint defect are computed at once, from
+    the arrival point alone, lifted from the continuation's nodes.  The
+    samples are lifted from the same nodes on the first read of
+    ``samples``: ``n + 1`` tau-uniform points, with every chord longer than
     four mean spacings bisected in tau (the declared consecutive-distance
-    bound), each lifted from the continuation's nodes.
+    bound), the last of them the arrival point.
     Tracing starts at chart offset ``LAUNCH_OFFSET`` from ``a`` and stops at
     ``ARRIVAL_RADIUS`` from ``b`` (or once ``|z| = clip_radius``, if given,
     else 2e6, for INFINITY).  Both cone stubs are closed-form vertex
@@ -410,24 +424,10 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
 
     lift = _node_lift(nodes, form.positions, form.residues,
                       lambda s, k: tau0 + direction * s)
-    s = np.linspace(0.0, s_end, n + 1)
-    z = lift(s)
-    # the modulus grid crowds samples near the far cone; where the curve
-    # sprints through the chart, bisect the grid level by level until every
-    # chord stays under four mean spacings of the nominal grid
-    bound = 4.0 * float(np.sum(np.abs(np.diff(z)))) / n
-    while True:
-        wide = np.flatnonzero((np.abs(np.diff(z)) > bound) & (np.diff(s) >= 1e-12))
-        if not wide.size:
-            break
-        mid = 0.5 * (s[wide] + s[wide + 1])
-        s = np.insert(s, wide + 1, mid)
-        z = np.insert(z, wide + 1, lift(mid))
-    samples = z.tolist()
-
+    # the last sample, lifted alone: the same node and Newton steps as in the grid
+    z_end = complex(lift(np.array([s_end]))[0])
     tau_end = tau0 + direction * s_end
     arc = 2.0 * abs(math.atan(math.exp(tau_end)) - math.atan(math.exp(tau0)))
-    z_end = samples[-1]
 
     stub_a = float(vertex_distance(params, a, z_start))
     if b is INFINITY and clip_radius is not None:
@@ -436,10 +436,26 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
         stub_b = float(vertex_distance(params, b, z_end))
     defect = 1.0 / abs(z_end) if b is INFINITY else abs(z_end - b)
 
-    return GeodesicPath(samples=samples,
-                        length=stub_a + arc + stub_b,
+    def sample() -> list[complex]:
+        s = np.linspace(0.0, s_end, n + 1)
+        z = lift(s)
+        # the modulus grid crowds samples near the far cone; where the curve
+        # sprints through the chart, bisect the grid level by level until every
+        # chord stays under four mean spacings of the nominal grid
+        bound = 4.0 * float(np.sum(np.abs(np.diff(z)))) / n
+        while True:
+            wide = np.flatnonzero((np.abs(np.diff(z)) > bound) & (np.diff(s) >= 1e-12))
+            if not wide.size:
+                break
+            mid = 0.5 * (s[wide] + s[wide + 1])
+            s = np.insert(s, wide + 1, mid)
+            z = np.insert(z, wide + 1, lift(mid))
+        return z.tolist()
+
+    return GeodesicPath(length=stub_a + arc + stub_b,
                         endpoint_defect=defect,
-                        stub_lengths=(stub_a, stub_b))
+                        stub_lengths=(stub_a, stub_b),
+                        sampler=sample)
 
 
 # ---------------------------------------------------------------------------

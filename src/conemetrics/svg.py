@@ -9,7 +9,6 @@ files.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,16 +55,20 @@ class SvgCanvas:
 
     def add_polyline(self, points, color: str, css_class: str,
                      dashed: bool = False, width: float = 1.8) -> None:
-        pix = [self.to_pixels(complex(z)) for z in points]
-        if len(pix) < 2:
+        """A polyline through ``points``, each chord split into equal pieces
+        of at most 0.9 ``STEP_BOUND_PX`` pixels."""
+        z = np.asarray(points, dtype=complex)
+        if z.size < 2:
             return
-        dense: list[tuple[float, float]] = [pix[0]]
-        for (ax, ay), (bx, by) in zip(pix[:-1], pix[1:]):
-            chord = math.hypot(bx - ax, by - ay)
-            pieces = max(1, int(math.ceil(chord / (0.9 * STEP_BOUND_PX))))
-            for k in range(1, pieces + 1):
-                dense.append((ax + (bx - ax) * k / pieces, ay + (by - ay) * k / pieces))
-        body = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in dense)
+        px, py = self.to_pixels(z)
+        dx, dy = np.diff(px), np.diff(py)
+        pieces = np.maximum(1, np.ceil(np.hypot(dx, dy) / (0.9 * STEP_BOUND_PX)).astype(int))
+        # piece k = 1..pieces of chord i ends at a + (b - a) * k / pieces
+        chord = np.repeat(np.arange(dx.size), pieces)
+        k = np.arange(1, chord.size + 1) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        xs = np.concatenate([px[:1], px[chord] + dx[chord] * k / pieces[chord]])
+        ys = np.concatenate([py[:1], py[chord] + dy[chord] * k / pieces[chord]])
+        body = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs.tolist(), ys.tolist()))
         dash = ' stroke-dasharray="6,4"' if dashed else ""
         self.elements.append(
             f'<polyline class="{css_class}" data-step-bound="{STEP_BOUND_PX:g}" '

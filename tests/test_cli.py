@@ -103,6 +103,31 @@ def test_geodesics_lends_scipys_solve_ivp_by_name():
         from conemetrics.geodesics import no_such_name  # noqa: F401
 
 
+def test_verify_lifts_no_trace_samples(monkeypatch, capsys):
+    # traced-length reads only the trace's length: its one lift is the
+    # arrival point, and a second lift (the sample grid) raises
+    from conemetrics import geodesics
+
+    node_lift = geodesics._node_lift
+
+    def lift_once(*args):
+        lift = node_lift(*args)
+        calls = []
+
+        def guarded(s):
+            if calls:
+                raise AssertionError("verify lifted the trace's samples")
+            calls.append(s)
+            return lift(s)
+
+        return guarded
+
+    monkeypatch.setattr(geodesics, "_node_lift", lift_once)
+    code, out = run(capsys, "verify", "--family=heart", "--beta=0.5", "--c=0.0")
+    assert code == 0, out
+    assert re.search(r"^traced-length: residual=\S+ tol=\S+ PASS$", out, re.M), out
+
+
 def test_verify_flags_a_corrupted_palpha_override(capsys):
     p_beta = complex(0.3, 0.2)
     p_alpha, _ = families.solve_pole_positions(

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,6 +178,34 @@ def test_finite_zeros_residue_cancellation_leaves_constant():
     # residues (1, -1): the numerator is a nonzero constant, no finite zero
     form = forms.make_form([(1.0, 1.0), (-1.0, -1.0)])
     assert forms.finite_zeros(form) == []
+
+
+def poly_numerator(form):
+    """The numerator coefficients from np.poly, as the program built them before."""
+    positions = form.positions
+    acc = np.zeros(len(positions), dtype=complex)
+    for k, r in enumerate(form.residues):
+        acc += r * np.poly([p for j, p in enumerate(positions) if j != k])
+    return acc
+
+
+@pytest.mark.parametrize("poles", [
+    [(1.0, 0.6), (-2.0 / 3.0, 0.4)],
+    [(0.3 + 0.2j, -0.5), (-0.7 - 1.1j, 1.5), (2.5 + 0.4j, 0.5)],
+    [(0.4 + 0.9j, 1.2), (0.4 - 0.9j, -0.3), (-1.5, 0.8)],
+    [(1e-3 - 2e3j, 0.25), (-40.0 + 7.5j, -1.75), (0.01 + 0.02j, 2.0)],
+    [(0.3 + 0.2j, -0.5), (-0.7 - 1.1j, 1.5), (2.5 + 0.4j, 0.5), (-0.2 + 3.0j, 0.7)],
+], ids=["heart", "three", "conjugates", "scales", "four"])
+def test_numerator_coefficients_match_np_poly(poles):
+    # bit for bit up to three poles, as every family form has; beyond that
+    # np.poly sums its products in another order
+    form = forms.make_form(poles)
+    got, expected = forms._numerator_coefficients(form), poly_numerator(form)
+    if len(poles) <= 3:
+        assert got.tolist() == expected.tolist()
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(expected.view(float)))
+    else:
+        assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
 
 
 def test_finite_zeros_returns_a_fresh_list():

@@ -210,6 +210,27 @@ def test_trace_toward_infinity_full():
     assert trace.endpoint_defect < 1e-6
 
 
+@pytest.mark.parametrize("target,clip", [(1.0 + 0.0j, None), (INFINITY, 10.0), (INFINITY, None)],
+                         ids=["pole", "clipped-infinity", "infinity"])
+def test_trace_arrival_point_is_the_last_sample(target, clip):
+    # the length, stubs and defect come from the arrival point, lifted alone;
+    # the samples, lifted on their first read, end at exactly that point
+    mp = heart_metric(HeartParams(0.5, 0.0))
+    up = geodesics.launch_directions(mp, 0.0, increasing=True)[0]
+    trace = trace_radial_preimage(mp, 0.0, target, n=200,
+                                  launch_dir=up if target is INFINITY else None,
+                                  clip_radius=clip)
+    assert "samples" not in vars(trace)
+    first = trace.samples
+    z_end = first[-1]
+    if target is INFINITY:
+        assert 1.0 / abs(z_end) == trace.endpoint_defect
+    else:
+        assert abs(z_end - target) == trace.endpoint_defect
+    assert trace.samples == first
+    assert trace.sampler() == first
+
+
 def test_trace_validates_inputs():
     mp = heart_metric(HeartParams(0.5, 0.0))
     with pytest.raises(ValueError):
@@ -314,7 +335,7 @@ def dop853_radial_trace(params, a, b, n=400, launch_dir=None, clip_radius=None):
         else float(vertex_distance(params, b, refined[-1]))
     length = stub_a + abs(float(sol.sol(tau_end)[2])) + stub_b
     defect = 1.0 / abs(refined[-1]) if b is INFINITY else abs(refined[-1] - b)
-    return GeodesicPath(refined, length, defect, (stub_a, stub_b)), sol.sol
+    return GeodesicPath(length, defect, (stub_a, stub_b), lambda: refined), sol.sol
 
 
 def log_modulus(params, z):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conemetrics import cli
-from conemetrics.svg import level_set_segments
+from conemetrics.svg import STEP_BOUND_PX, SvgCanvas, level_set_segments
 
 
 def loop_segments(values, xs, ys, level):
@@ -91,6 +91,32 @@ def test_level_set_segments_on_a_smooth_field_at_many_levels():
         assert expected
         assert [tuple(row) for row in level_set_segments(values, xs, ys, level).tolist()] \
             == expected
+
+
+def loop_polyline(canvas, points):
+    """The ``points`` attribute from the per-point loop that the array code replaced."""
+    pix = [canvas.to_pixels(complex(z)) for z in points]
+    dense = [pix[0]]
+    for (ax, ay), (bx, by) in zip(pix[:-1], pix[1:]):
+        pieces = max(1, int(math.ceil(math.hypot(bx - ax, by - ay) / (0.9 * STEP_BOUND_PX))))
+        for k in range(1, pieces + 1):
+            dense.append((ax + (bx - ax) * k / pieces, ay + (by - ay) * k / pieces))
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in dense)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_polyline_matches_the_point_loop(seed):
+    # chords from far under to many times the step bound, and repeated points
+    rng = random.Random(seed)
+    canvas = SvgCanvas(bounds=(-3.0, 3.0, -2.0, 4.0))
+    points = [complex(rng.gauss(0.0, 1.0), rng.gauss(1.0, 1.0)) * rng.choice((0.01, 0.1, 1.0))
+              for _ in range(2 + 40 * seed)]
+    points.append(points[-1])
+    canvas.add_polyline(points, "#000000", "geodesic")
+    body = re.search(r'points="([^"]*)"', canvas.elements[-1]).group(1)
+    assert body == loop_polyline(canvas, points)
+    canvas.add_polyline(points[:1], "#000000", "geodesic")
+    assert len(canvas.elements) == 1
 
 
 @pytest.mark.parametrize("flags,marks", [
