@@ -157,28 +157,32 @@ class _Stopped(Exception):
 def _correct(positions, signed, z: complex, q: complex, z_new: complex, target: complex):
     """Newton from the guess z_new toward Q = target, Q carried from (z, q).
 
-    Returns (z', Q(z'), Q'(z')), or None if four corrections do not bring the
-    residual down to a few ulp: of max(1, |target|), and of
-    |z'| sum_k |r_k / (z' - p_k)|, the digits log(z' - p_k) loses next to a
-    pole.
+    Returns (z', Q(z'), Q'(z'), min_k |z' - p_k|), or None if four
+    corrections do not bring the residual down to a few ulp: of
+    max(1, |target|), and of |z'| sum_k |r_k / (z' - p_k)|, the digits
+    log(z' - p_k) loses next to a pole.
     """
     scale = max(1.0, abs(target))
     poles = [(p, r, z - p) for p, r in zip(positions, signed)]
     for attempt in range(5):
         f = 0j
         spread = 0.0
+        nearest = math.inf
         q_new = q
         for p, r, base in poles:
             d = z_new - p
             if d == 0.0:
                 return None
+            dist = abs(d)
+            if dist < nearest:
+                nearest = dist
             term = r / d
             f += term
             spread += abs(term)
             q_new += r * cmath.log(d / base)
         residual = q_new - target
         if abs(residual) <= 4.0 * _ULP * (scale + abs(z_new) * spread):
-            return z_new, q_new, f
+            return z_new, q_new, f, nearest
         if attempt == 4 or f == 0.0:
             return None
         z_new -= residual / f
@@ -205,17 +209,19 @@ def _continue(form: CharacterForm, sign: float, z0: complex, q0: complex, start,
 
     Returns ``(s_end, nodes)`` once ``gap(z) <= 0``, with s_end where the gap
     vanishes (:func:`_arrival`).  Raises :class:`_Stopped` when z comes within
-    ``avoid_radius`` of a position in ``avoid``, leaves ``|z| <= escape``, or
-    stalls, or when s reaches ``s_max`` first.
+    ``avoid_radius`` of a position in ``avoid``, a subset of the poles, leaves
+    ``|z| <= escape``, or stalls, or when s reaches ``s_max`` first.  The
+    nearest-pole distance from :func:`_correct` gives the reach, and spares
+    the ``avoid`` scan wherever no pole is within ``avoid_radius``.
     """
     positions = form.positions
     signed = tuple(sign * r for r in form.residues)
-    marks = positions + tuple(q for q, _ in finite_zeros(form))
+    zeros = tuple(q for q, _ in finite_zeros(form))
     f = sum(r / (z0 - p) for p, r in zip(positions, signed))
     s, z, q = 0.0, z0, q0
     node = (s, z, q, *start, f)
     nodes = [node]
-    reach = 0.25 * min(abs(z - m) for m in marks)
+    reach = 0.25 * min(abs(z - m) for m in positions + zeros)
     if ds is None:
         ds = 0.8 * reach * abs(f)
     for _ in range(_MAX_STEPS):
@@ -234,8 +240,9 @@ def _continue(form: CharacterForm, sign: float, z0: complex, q0: complex, start,
         if step is None or abs(step[0] - z) > 2.0 * reach:
             ds *= 0.5
             continue
-        z_new, q_new, f_new = step
-        if min((abs(z_new - p) for p in avoid), default=math.inf) < avoid_radius:
+        z_new, q_new, f_new, nearest = step
+        if nearest < avoid_radius and min((abs(z_new - p) for p in avoid),
+                                          default=math.inf) < avoid_radius:
             raise _Stopped("pole", z_new)
         if abs(z_new) > escape:
             raise _Stopped("escaped", z_new)
@@ -244,7 +251,11 @@ def _continue(form: CharacterForm, sign: float, z0: complex, q0: complex, start,
         if s_new == s_max:
             raise _Stopped("span", z_new)
         moved = abs(z_new - z)
-        reach = 0.25 * min(abs(z_new - m) for m in marks)
+        for a in zeros:
+            dist = abs(z_new - a)
+            if dist < nearest:
+                nearest = dist
+        reach = 0.25 * nearest
         # aim the next prediction at 80% of the distance it may move
         ds *= min(2.0, 0.8 * reach / moved) if moved else 2.0
         s, z, q, f = s_new, z_new, q_new, f_new
@@ -303,12 +314,13 @@ def _node_lift(nodes, positions, signed, targets):
         target = targets(s, k)
         zk, qk = node_z[k], node_q[k]
         z = zk + (target - qk) / node_f[k]
+        poles = [(p, r, zk - p) for p, r in zip(positions, signed)]
         for _ in range(6):
             f = np.zeros_like(z)
             q = qk.copy()
-            for p, r in zip(positions, signed):
+            for p, r, base in poles:
                 f += r / (z - p)
-                q += r * np.log((z - p) / (zk - p))
+                q += r * np.log((z - p) / base)
             z = z - (q - target) / f
         return z
 

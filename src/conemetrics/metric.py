@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -49,6 +50,11 @@ from .forms import INFINITY, POLE_GUARD, CharacterForm
 #: default finite-difference step for curvature stencils; balances O(h^2)
 #: truncation against O(ulp/h^2) rounding in double precision
 CURVATURE_STEP = 1e-4
+
+#: points per kernel call of :func:`write_density_grid_csv`, rounded down to whole
+#: rows: enough to spread the per-call cost, few enough that the stencil's
+#: temporaries stay small (4096 points raise a 201 x 201 run's peak RSS by ~10%)
+CSV_BLOCK_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -391,25 +397,27 @@ def write_density_grid_csv(params: MetricParams, bounds, nx: int, ny: int, fh,
                            h: float = CURVATURE_STEP) -> None:
     """Write the re,im,phi,density,curvature grid as CSV to an open text file.
 
-    Rows are emitted with x varying fastest, 17 significant digits
+    Rows are emitted in order with x varying fastest, 17 significant digits
     throughout.  ``phi`` and ``density`` are nan within ``POLE_GUARD`` of a
     pole, and ``curvature`` is nan where its stencil touches a singular
-    point.  Each grid row is evaluated as one numpy array and written before
-    the next, so memory is bounded by ``nx``, not by ``nx * ny``.
+    point.  The grid is evaluated in blocks of whole rows, one kernel call
+    of about ``CSV_BLOCK_POINTS`` points each (one row where a row is
+    longer), and each block is written before the next, so memory is
+    bounded by the block, not by ``nx * ny``.  Each row is formatted by one
+    ``%`` call, its x column baked into a format built once per grid.
     """
     x0, x1, y0, y1 = bounds
     xs = [x0 + (x1 - x0) * ix / (nx - 1) for ix in range(nx)]
-    re_text = [f"{x:.17g}" for x in xs]
-    z = np.empty(nx, dtype=complex)
-    z.real = xs
+    row_format = "".join(f"{x:.17g},%s,%.17g,%.17g,%.17g\n" for x in xs)
+    rows = max(1, CSV_BLOCK_POINTS // max(nx, 1))
     fh.write("re,im,phi,density,curvature\n")
-    for iy in range(ny):
-        y = y0 + (y1 - y0) * iy / (ny - 1)
-        z.imag = y
+    for start in range(0, ny, rows):
+        ys = [y0 + (y1 - y0) * iy / (ny - 1) for iy in range(start, min(ny, start + rows))]
+        z = np.empty((len(ys), nx), dtype=complex)
+        z.real = xs
+        z.imag = np.array(ys)[:, None]
         _, phi, den = _evaluate(params, z)
         cur = curvature_field(params, z, h)
-        im = f"{y:.17g}"
-        fh.writelines(
-            f"{re},{im},{p:.17g},{d:.17g},{k:.17g}\n"
-            for re, p, d, k in zip(re_text, phi.tolist(), den.tolist(), cur.tolist())
-        )
+        for y, p, d, k in zip(ys, phi.tolist(), den.tolist(), cur.tolist()):
+            cells = zip(repeat(f"{y:.17g}"), p, d, k)
+            fh.write(row_format % tuple(chain.from_iterable(cells)))

@@ -4,7 +4,8 @@ No plotting dependency: a fixed 800 x 800 viewport, a linear chart-to-pixel
 map, polylines, labelled marks, and dashed level sets, each extracted by one
 numpy marching-squares pass over the whole grid.  All coordinates are
 formatted with fixed precision so identical inputs produce byte-identical
-files.
+files; a polyline or level-set path formats all its coordinates in one ``%``
+call, which gives the same bytes as ``_fmt`` per value.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class SvgCanvas:
         k = np.arange(1, chord.size + 1) - np.repeat(np.cumsum(pieces) - pieces, pieces)
         xs = np.concatenate([px[:1], px[chord] + dx[chord] * k / pieces[chord]])
         ys = np.concatenate([py[:1], py[chord] + dy[chord] * k / pieces[chord]])
-        body = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs.tolist(), ys.tolist()))
+        body = " ".join(["%.2f,%.2f"] * xs.size) % tuple(np.column_stack((xs, ys)).ravel().tolist())
         dash = ' stroke-dasharray="6,4"' if dashed else ""
         self.elements.append(
             f'<polyline class="{css_class}" data-step-bound="{STEP_BOUND_PX:g}" '
@@ -131,8 +132,8 @@ def add_level_sets(canvas: SvgCanvas, values, xs, ys, levels, color: str = "#888
         if not len(segs):
             continue
         px, py = canvas.to_pixels(segs)
-        parts = [f"M {_fmt(ax)} {_fmt(ay)} L {_fmt(bx)} {_fmt(by)}"
-                 for (ax, bx), (ay, by) in zip(px.tolist(), py.tolist())]
+        ends = np.column_stack((px[:, 0], py[:, 0], px[:, 1], py[:, 1])).ravel().tolist()
+        path = " ".join(["M %.2f %.2f L %.2f %.2f"] * len(segs)) % tuple(ends)
         canvas.elements.append(
-            f'<path class="levelset" d="{" ".join(parts)}" fill="none" '
+            f'<path class="levelset" d="{path}" fill="none" '
             f'stroke="{color}" stroke-width="0.8" stroke-dasharray="4,4"/>')

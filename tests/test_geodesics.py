@@ -247,6 +247,26 @@ def test_trace_stepping_onto_a_pole_diverges():
         trace_radial_preimage(mp, 0.0, 1.0, launch_dir=-1.0)
 
 
+@pytest.mark.parametrize("mp", [
+    heart_metric(HeartParams(0.5, 0.0)),
+    three_football_metric(make_three_football(special_case_angles(), 0.3 + 0.2j,
+                                              Branch.MINUS, 1.0)),
+], ids=["heart-0.5", "special"])
+def test_correct_returns_the_nearest_pole_distance(mp):
+    positions, residues = mp.form.positions, mp.form.residues
+    z = 0.4 + 0.7j
+    q = sum(r * cmath.log(z - p) for p, r in zip(positions, residues))
+    # goals near each pole in turn, so that the nearest pole changes
+    goals = [0.45 + 0.72j] + [p + 0.01 * cmath.exp(0.3j) for p in positions]
+    for goal in goals:
+        target = q + sum(r * cmath.log((goal - p) / (z - p)) for p, r in zip(positions, residues))
+        step = geodesics._correct(positions, residues, z, q, goal + 1e-7, target)
+        assert step is not None
+        z_new, _, _, nearest = step
+        assert abs(z_new - goal) < 1e-12
+        assert nearest == min(abs(z_new - p) for p in positions)
+
+
 def dop853_radial_trace(params, a, b, n=400, launch_dir=None, clip_radius=None):
     """The radial trace as the ODE dz/dtau = 1/f(z), integrated by DOP853.
 

@@ -369,6 +369,99 @@ def test_csv_values_round_trip_density():
         assert float(r[3]) == d
 
 
+def rowwise_csv(params, bounds, nx, ny, h=metric.CURVATURE_STEP):
+    """The grid written one row at a time, one f-string per value: the writer
+    that the block writer replaced, kept as its byte-for-byte oracle."""
+    x0, x1, y0, y1 = bounds
+    xs = [x0 + (x1 - x0) * ix / (nx - 1) for ix in range(nx)]
+    re_text = [f"{x:.17g}" for x in xs]
+    z = np.empty(nx, dtype=complex)
+    z.real = xs
+    out = ["re,im,phi,density,curvature\n"]
+    for iy in range(ny):
+        y = y0 + (y1 - y0) * iy / (ny - 1)
+        z.imag = y
+        _, phi, den = metric._evaluate(params, z)
+        cur = curvature_field(params, z, h)
+        im = f"{y:.17g}"
+        out += [f"{re},{im},{p:.17g},{d:.17g},{k:.17g}\n"
+                for re, p, d, k in zip(re_text, phi.tolist(), den.tolist(), cur.tolist())]
+    return "".join(out)
+
+
+CSV_METRICS = [
+    heart_metric(HeartParams(0.5, 0.0)),
+    heart_metric(HeartParams(0.15, 0.4)),
+    three_football_metric(SPECIAL),
+    three_football_metric(make_three_football(AngleTriple(0.7, 0.45, 0.6), 0.4 + 0.3j,
+                                              Branch.PLUS, 1.3)),
+]
+CSV_METRIC_IDS = ["heart-0.5", "heart-0.15-c0.4", "special", "generic"]
+
+
+def block_csv(params, bounds, nx, ny):
+    buf = io.StringIO()
+    write_density_grid_csv(params, bounds, nx, ny, buf)
+    return buf.getvalue()
+
+
+def assert_same_lines(got, expected):
+    # line lists, so that a failure names the first differing line instead of
+    # diffing two multi-megabyte strings
+    assert got.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("mp", CSV_METRICS, ids=CSV_METRIC_IDS)
+@pytest.mark.parametrize("bounds,nx,ny", [
+    ((-3.0, 3.0, -3.0, 3.0), 201, 201),
+    ((-3.0, 3.0, -3.0, 3.0), 41, 41),
+    ((-2.0, 2.0, -2.0, 2.0), 5, 4),
+    ((1.0, 2.0, 0.0, 1.0), 2, 2),
+    ((-3.0, 3.0, -3.0, 3.0), 1500, 3),  # a row longer than a block
+    ((-3.0, 3.0, -2.5, 2.5), 7, 300),  # ny not a multiple of the block's rows
+], ids=["201x201", "41x41", "5x4", "2x2", "1500x3", "7x300"])
+def test_csv_block_writer_matches_the_row_writer(mp, bounds, nx, ny):
+    assert_same_lines(block_csv(mp, bounds, nx, ny), rowwise_csv(mp, bounds, nx, ny))
+
+
+@pytest.mark.parametrize("mp", CSV_METRICS, ids=CSV_METRIC_IDS)
+def test_csv_block_writer_on_poles_and_zeros(mp):
+    # a node on z = 0, a zero of both families: density 0 up to the rounding
+    # of f's cancelling sum
+    bounds = (-2.0, 2.0, -2.0, 2.0)
+    text = block_csv(mp, bounds, 9, 7)
+    assert_same_lines(text, rowwise_csv(mp, bounds, 9, 7))
+    origin = [row for row in text.split("\n") if row.startswith("0,0,")]
+    assert float(origin[0].split(",")[3]) < 1e-30
+    # a node within rounding of each pole: phi, density and curvature are nan
+    for p in mp.form.poles:
+        x, y = p.position.real, p.position.imag
+        bounds = (x - 2.0, x + 2.0, y - 1.0, y + 2.0)
+        text = block_csv(mp, bounds, 9, 7)
+        assert_same_lines(text, rowwise_csv(mp, bounds, 9, 7))
+        assert ",nan,nan,nan\n" in text
+
+
+@pytest.mark.parametrize("nx,ny", [(201, 201), (7, 300), (1500, 3), (2, 2)])
+def test_csv_kernel_calls_are_bounded_by_the_block(monkeypatch, nx, ny):
+    sizes = []
+    kernel = metric._evaluate
+
+    def counted(params, z):
+        sizes.append(z.size)
+        return kernel(params, z)
+
+    monkeypatch.setattr(metric, "_evaluate", counted)
+    write_density_grid_csv(heart_metric(HeartParams(0.5, 0.0)), (-3.0, 3.0, -3.0, 3.0),
+                           nx, ny, io.StringIO())
+    block = metric.CSV_BLOCK_POINTS
+    # the curvature stencil stacks a block with its 4 arms
+    assert max(sizes) <= 5 * max(block, nx)
+    rows = max(1, block // nx)
+    assert len(sizes) == 2 * -(-ny // rows)
+    assert sum(sizes) == 6 * nx * ny
+
+
 def _scalar_rows(mp, bounds, nx, ny):
     """The grid evaluated one point at a time through the scalar API."""
     x0, x1, y0, y1 = bounds

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conemetrics import cli
-from conemetrics.svg import STEP_BOUND_PX, SvgCanvas, level_set_segments
+from conemetrics.svg import STEP_BOUND_PX, SvgCanvas, _fmt, add_level_sets, level_set_segments
 
 
 def loop_segments(values, xs, ys, level):
@@ -117,6 +117,50 @@ def test_polyline_matches_the_point_loop(seed):
     assert body == loop_polyline(canvas, points)
     canvas.add_polyline(points[:1], "#000000", "geodesic")
     assert len(canvas.elements) == 1
+
+
+@pytest.mark.parametrize("v", [-0.0, -0.001, -0.004999, 0.005, 0.015, 799.995, 1e300,
+                               math.nan, -math.nan, math.inf, -math.inf])
+def test_percent_format_matches_fmt(v):
+    assert "%.2f" % v == _fmt(v)
+
+
+#: a canvas on which chart x = -40.001 and y = 760.002 map to pixels just below 0
+NEAR_ZERO_CANVAS = (0.0, 720.0, 0.0, 720.0)
+
+
+def test_polyline_formats_negative_zero_like_fmt():
+    canvas = SvgCanvas(bounds=NEAR_ZERO_CANVAS)
+    points = [complex(-40.001, 760.002), complex(10.0, 10.0), complex(-40.001, 300.0)]
+    canvas.add_polyline(points, "#000000", "geodesic")
+    body = re.search(r'points="([^"]*)"', canvas.elements[-1]).group(1)
+    assert body.startswith("-0.00,-0.00 ")
+    assert body == loop_polyline(canvas, points)
+
+
+def loop_level_set_path(canvas, values, xs, ys, level):
+    """The ``d`` attribute of a level set, one ``_fmt`` call per coordinate."""
+    parts = []
+    for a, b in level_set_segments(values, xs, ys, level).tolist():
+        (ax, ay), (bx, by) = canvas.to_pixels(a), canvas.to_pixels(b)
+        parts.append(f"M {_fmt(ax)} {_fmt(ay)} L {_fmt(bx)} {_fmt(by)}")
+    return " ".join(parts)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_level_set_path_matches_the_per_value_format(seed):
+    values, _, _ = seeded_grid(seed)
+    # the first column and row sit where the pixel map gives -0.00
+    xs = [-40.001 + 35.0 * i for i in range(len(values[0]))]
+    ys = [760.002 - 45.0 * j for j in range(len(values))]
+    canvas = SvgCanvas(bounds=NEAR_ZERO_CANVAS)
+    levels = (-0.5, 0.0, 0.5, 5.0)
+    add_level_sets(canvas, values, xs, ys, levels)
+    expected = [loop_level_set_path(canvas, values, xs, ys, level) for level in levels]
+    expected = [path for path in expected if path]
+    got = [re.search(r' d="([^"]*)"', element).group(1) for element in canvas.elements]
+    assert got == expected
+    assert any("-0.00" in path for path in got)
 
 
 @pytest.mark.parametrize("flags,marks", [
