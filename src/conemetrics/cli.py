@@ -128,6 +128,15 @@ _FLAG_KEYS = ("family", "beta", "c", "alpha", "gamma", "pbeta", "camp", "branch"
               "curvature_tol", "length_tol", "residual_tol")
 
 
+def _number(merged: dict, key: str, default: float | None = None) -> float:
+    """``merged[key]`` as a float (``default`` if given and the key is absent)."""
+    value = merged[key] if default is None else merged.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     merged: dict = {}
     if args.config is not None:
@@ -153,32 +162,32 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     grid = parse_grid(merged["grid"]) if "grid" in merged else GridSpec()
     tols = Tolerances(
-        curvature_tol=float(merged.get("curvature_tol", 5e-3)),
-        length_tol=float(merged.get("length_tol", 1e-6)),
-        residual_tol=float(merged.get("residual_tol", 1e-10)),
+        curvature_tol=_number(merged, "curvature_tol", 5e-3),
+        length_tol=_number(merged, "length_tol", 1e-6),
+        residual_tol=_number(merged, "residual_tol", 1e-10),
     )
     out_dir = str(merged.get("out", "."))
 
     cfg = RunConfig(family=family, grid=grid, tolerances=tols, output_dir=out_dir)
     try:
         if family == "heart":
-            cfg.heart = HeartParams(beta=float(merged.get("beta", 0.5)),
-                                    c_log=float(merged.get("c", 0.0)))
+            cfg.heart = HeartParams(beta=_number(merged, "beta", 0.5),
+                                    c_log=_number(merged, "c", 0.0))
         else:
             if merged.get("special"):
-                cfg.angles = families.special_case_angles(float(merged.get("alpha", 1.0)))
+                cfg.angles = families.special_case_angles(_number(merged, "alpha", 1.0))
             else:
                 try:
-                    cfg.angles = AngleTriple(float(merged["alpha"]),
-                                             float(merged["beta"]),
-                                             float(merged["gamma"]))
+                    cfg.angles = AngleTriple(_number(merged, "alpha"),
+                                             _number(merged, "beta"),
+                                             _number(merged, "gamma"))
                 except KeyError as exc:
                     raise ConfigError(
                         "threefb needs --alpha/--beta/--gamma or --special") from exc
             if "pbeta" not in merged:
                 raise ConfigError("threefb needs --pbeta")
             cfg.p_beta = parse_complex(merged["pbeta"])
-            cfg.c_amp = float(merged.get("camp", 1.0))
+            cfg.c_amp = _number(merged, "camp", 1.0)
             if cfg.c_amp <= 0.0:
                 raise ConfigError("--camp must be positive")
             branch = merged.get("branch", "minus")

@@ -78,7 +78,7 @@ class QuadratureNearPole(ConeMetricError):
 # geodesics
 
 class TraceDiverged(ConeMetricError):
-    """A radial trace left the admissible region or its integrator failed."""
+    """A radial trace has no target, steps onto another pole, escapes or stalls."""
 
 
 class EndpointNotReached(ConeMetricError):

@@ -18,7 +18,10 @@ Three-football family
 
     a pair of quadratic constraints cutting a complex one-dimensional
     variety.  Fixing P_beta, eliminating P_alpha through g(0) = 0 leaves a
-    quadratic in P_gamma whose two roots are the two branches solved here.
+    quadratic in P_gamma whose two roots are the two branches solved here:
+    the minus branch is (-b + s) / 2a, with s the square root of the
+    discriminant continued from its positive value at P_beta = 0 along the
+    segment t P_beta, passing above every zero within 0.05 of it.
 
 The quadratic's coefficients are derived numerically (exact degree-2
 interpolation of the eliminated constraint), never transcribed, which
@@ -45,8 +48,9 @@ from .errors import (
 )
 from .forms import CharacterForm, make_form
 
-#: chart-coordinate threshold under which marked points count as colliding;
-#: below this, quadrature near the poles is unreliable at double precision
+#: chart distance under which two marked points count as colliding and the
+#: solver raises ``CollidingPoles``; downstream code tells marked points apart
+#: by matching positions to the same 1e-9
 COLLISION_TOL = 1e-9
 
 #: relative bound the solved triples must satisfy on both constraints
@@ -112,11 +116,10 @@ class Branch(enum.Enum):
 class AngleTriple:
     """Cone-angle data (alpha, beta, gamma) for the three-football family.
 
-    Positivity is enforced.  Genericity (beta, gamma, alpha+beta,
+    Only positivity is enforced.  Genericity (beta, gamma, alpha+beta,
     alpha+gamma all non-integer) is what pins the residue distribution
     uniquely, but integer values still produce valid metrics - the marked
-    point just degenerates to a smooth point or an exact 2 pi k cone - so
-    it is reported by :meth:`is_generic` rather than enforced.
+    point just degenerates to a smooth point or an exact 2 pi k cone.
     """
 
     alpha: float
@@ -129,10 +132,6 @@ class AngleTriple:
             if not (v > 0.0 and math.isfinite(v)):
                 raise BadAngle(f"angle {name} must be a positive real, got {v!r}")
             object.__setattr__(self, name, v)
-
-    def is_generic(self, tol: float = 1e-12) -> bool:
-        vals = (self.beta, self.gamma, self.alpha + self.beta, self.alpha + self.gamma)
-        return all(abs(v - round(v)) > tol for v in vals)
 
 
 def special_case_angles(alpha: float = 1.0) -> AngleTriple:
@@ -211,95 +210,49 @@ def derive_pole_quadratic(angles: AngleTriple, p_beta: complex) -> tuple[complex
     return a, b, q0
 
 
-def _discriminant(angles: AngleTriple, p_beta: complex) -> complex:
-    a, b, c = derive_pole_quadratic(angles, p_beta)
-    return b * b - 4.0 * a * c
+def _continued_sqrt_discriminant(angles: AngleTriple, p_beta: complex, disc: complex) -> complex:
+    """``cmath.sqrt(disc)`` with the sign of the root continued from P_beta = 0.
 
-
-def _continued_sqrt_discriminant(angles: AngleTriple, p_beta: complex) -> complex:
-    """Square root of the discriminant, continued from the basepoint P_beta = 0.
-
-    At the basepoint the discriminant is (beta (alpha + gamma))^2 > 0 and the
-    branch is anchored at the positive root.  The value at p_beta follows the
-    segment t |-> t * p_beta, with small fixed-side semicircular detours in t
-    around any discriminant zero that sits (numerically) on the segment, so
-    the branch label is deterministic even across the zero set.
+    Along t * p_beta the discriminant is the quadratic
+    D(t) = D(0) (1 - t/t1) (1 - t/t2) with D(0) = (beta (alpha + gamma))^2 > 0.
+    Each factor 1 - t/t_i runs straight from 1 and meets the negative axis
+    only when t_i lies on (0, 1], so the root continued from the positive one
+    at t = 0 is beta (alpha + gamma) times the principal roots
+    sqrt(1 - 1/t_i), where a zero with |Im t_i| < 0.05 and
+    -0.05 < Re t_i < 1.05 is passed above: its factor is negated when
+    Im t_i >= 0.  That product only picks the sign; ``disc`` is D(1).
     """
-    al, be, ga = angles.alpha, angles.beta, angles.gamma
+    def disc_at(t: float) -> complex:
+        a, b, c = derive_pole_quadratic(angles, t * p_beta)
+        return b * b - 4.0 * a * c
 
-    def disc_of_t(t: complex) -> complex:
-        return _discriminant(angles, t * p_beta)
-
-    # discriminant restricted to the segment is quadratic in t: interpolate it
-    d0 = disc_of_t(0.0)
-    dh = disc_of_t(0.5)
-    d1 = disc_of_t(1.0)
-    qa = 2.0 * d1 + 2.0 * d0 - 4.0 * dh
-    qb = d1 - d0 - qa
-    qc = d0
-
-    # waypoints along [0, 1], detouring above any near-segment zero of disc
-    detour = 0.05
-    obstacles = []
-    if abs(qa) > 1e-14 * max(abs(qb), abs(qc), 1e-300):
-        s = cmath.sqrt(qb * qb - 4.0 * qa * qc)
-        for root in ((-qb + s) / (2.0 * qa), (-qb - s) / (2.0 * qa)):
-            if abs(root.imag) < detour and -detour < root.real < 1.0 + detour:
-                obstacles.append(root.real)
-    elif abs(qb) > 1e-14 * max(abs(qc), 1e-300):
-        root = -qc / qb
-        if abs(root.imag) < detour and -detour < root.real < 1.0 + detour:
-            obstacles.append(root.real)
-
-    waypoints: list[complex] = []
-    base = 0.0
-    for obstacle in sorted(obstacles):
-        lo = max(0.0, obstacle - detour)
-        hi = min(1.0, obstacle + detour)
-        for k in range(24):
-            waypoints.append(base + (lo - base) * k / 24.0)
-        for k in range(25):
-            theta = math.pi * (1.0 - k / 24.0)
-            waypoints.append(complex(obstacle + detour * math.cos(theta),
-                                     detour * math.sin(theta)))
-        base = hi
-    for k in range(49):
-        waypoints.append(base + (1.0 - base) * k / 48.0)
-    waypoints.append(1.0)
-
-    s_prev = complex(be * (al + ga), 0.0)
-    t_prev = 0.0 + 0.0j
-    for t_next in waypoints:
-        if t_next == t_prev:
-            continue
-        stack = [(t_prev, t_next)]
-        depth = 0
-        while stack:
-            lo_t, hi_t = stack.pop()
-            cand = cmath.sqrt(disc_of_t(hi_t))
-            if abs(cand - s_prev) > abs(cand + s_prev):
-                cand = -cand
-            # refine if the root rotated too far to trust the sign match
-            if abs(cand - s_prev) > 0.5 * (abs(cand) + abs(s_prev)) and depth < 40:
-                mid = 0.5 * (lo_t + hi_t)
-                stack.append((mid, hi_t))
-                stack.append((lo_t, mid))
-                depth += 1
-                continue
-            s_prev = cand
-        t_prev = t_next
-    return s_prev
+    # D(t) = d0 + qb t + qa t^2, and u_i = 1/t_i solve d0 u^2 + qb u + qa = 0
+    d0 = disc_at(0.0)
+    qa = 2.0 * disc + 2.0 * d0 - 4.0 * disc_at(0.5)
+    qb = disc - d0 - qa
+    w = cmath.sqrt(qb * qb - 4.0 * d0 * qa)
+    continued = 1.0 + 0.0j
+    for u in ((-qb + w) / (2.0 * d0), (-qb - w) / (2.0 * d0)):
+        # complex minus complex keeps Im(1 - u) = +0.0 for a real u, so a zero
+        # on the segment takes the principal root before the negation below
+        continued *= cmath.sqrt((1.0 + 0.0j) - u)
+        t = 1.0 / u if u else math.inf
+        if abs(t.imag) < 0.05 and -0.05 < t.real < 1.05 and t.imag >= 0.0:
+            continued = -continued
+    s = cmath.sqrt(disc)
+    return -s if abs(s - continued) > abs(s + continued) else s
 
 
 def solve_pole_positions(angles: AngleTriple, p_beta: complex,
                          branch: Branch = Branch.MINUS) -> tuple[complex, complex]:
     """Solve g(0) = g(1) = 0 for (P_alpha, P_gamma) at the given P_beta.
 
-    P_gamma is a root of the interpolated quadratic, picked by ``branch``
-    with the continued-square-root convention of
-    :func:`_continued_sqrt_discriminant` (so at the special angles the minus
-    branch lands on the (sqrt2 - 1)/2 root at p_beta = 1/2); P_alpha then
-    follows from the elimination relation
+    P_gamma is the root (-b + s) / 2a of the interpolated quadratic on the
+    minus branch and (-b - s) / 2a on the plus one, with s the square root of
+    the discriminant continued from its positive value at P_beta = 0 along
+    t * p_beta, passing above every zero within 0.05 of that segment (so at
+    the special angles the minus branch lands on the (sqrt2 - 1)/2 root at
+    p_beta = 1/2); P_alpha then follows from the elimination relation
 
         P_alpha = (alpha + beta) P_beta P_gamma / (beta P_gamma - gamma P_beta).
     """
@@ -316,7 +269,7 @@ def solve_pole_positions(angles: AngleTriple, p_beta: complex,
     if abs(disc) <= 1e-12 * (abs(b) ** 2 + 4.0 * abs(a) * abs(c)):
         raise DoubleRoot(f"discriminant {disc} is numerically zero")
 
-    s = _continued_sqrt_discriminant(angles, p_beta)
+    s = _continued_sqrt_discriminant(angles, p_beta, disc)
     if branch is Branch.MINUS:
         p_gamma = (-b + s) / (2.0 * a)
     else:

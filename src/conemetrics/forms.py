@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DegenerateForm, DuplicatePole, EvalAtPole, ZeroResidue
 
-#: chart distance to a pole below which pointwise evaluation refuses to run;
-#: quadrature downstream must see an explicit error instead of huge values.
+#: chart distance to a pole within which evaluation refuses to run: the
+#: one-point evaluators raise ``EvalAtPole`` and the array kernels return nan.
 POLE_GUARD = 1e-12
 
 

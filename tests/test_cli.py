@@ -244,6 +244,21 @@ def test_main_carries_no_flag_over_between_calls(capsys):
         assert vars(cli._build_parser().parse_args(argv)) == vars(fresh)
 
 
+@pytest.mark.parametrize("payload,key", [
+    ({"family": "heart", "beta": "abc"}, "beta"),
+    ({"family": "threefb", "special": True, "pbeta": "0.3+0.2i", "camp": None}, "camp"),
+    ({"family": "heart", "curvature_tol": "x"}, "curvature_tol"),
+])
+def test_wrong_typed_config_values_exit_2(capsys, tmp_path, payload, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    assert cli.main(["verify", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid configuration: ")
+    assert key in captured.err
+
+
 # ---------------------------------------------------------------------------
 # the array checks of run_checks against the scalar loops they replaced
 

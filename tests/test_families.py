@@ -92,12 +92,6 @@ def test_angle_triple_positivity():
         AngleTriple(1.0, -0.5, 1.0)
 
 
-def test_angle_triple_genericity_flag():
-    assert AngleTriple(0.5, 0.7, 0.9).is_generic()
-    # the symmetric special choice has gamma and alpha+gamma integral
-    assert not special_case_angles().is_generic()
-
-
 # ---------------------------------------------------------------------------
 # the pole-position quadratic
 
@@ -167,6 +161,81 @@ def test_double_root_raised_on_discriminant_zero():
     assert abs(disc(root)) < 1e-10
     with pytest.raises(DoubleRoot):
         solve_pole_positions(angles, root, Branch.MINUS)
+
+
+# ---------------------------------------------------------------------------
+# the branch convention: the root continued from P_beta = 0
+
+def discriminant_zeros(angles):
+    """The two zeros of the discriminant in the P_beta plane, by interpolation."""
+    def disc(p):
+        a2, a1, a0 = derive_pole_quadratic(angles, p)
+        return a1 * a1 - 4.0 * a2 * a0
+
+    d0, dp, dm = disc(0.0), disc(1.0), disc(-1.0)
+    qa = 0.5 * (dp + dm) - d0
+    qb = 0.5 * (dp - dm)
+    s = cmath.sqrt(qb * qb - 4.0 * qa * d0)
+    return sorted(((-qb + s) / (2.0 * qa), (-qb - s) / (2.0 * qa)),
+                  key=lambda z: (z.real, z.imag))
+
+
+def continued_along_bent_segment(angles, p_beta, zone, steps=4000):
+    """sqrt(D(t)) in fine steps from the positive root at t = 0 to t = 1.
+
+    The path is the segment [0, 1] bent over each zone zero by a semicircle
+    of radius 0.05 about its real part, taking the upper envelope where two
+    semicircles overlap.
+    """
+    def height(x):
+        return max([0.0] + [math.sqrt(0.05 ** 2 - (x - t.real) ** 2)
+                            for t in zone if abs(x - t.real) < 0.05])
+
+    root = complex(angles.beta * (angles.alpha + angles.gamma))
+    for k in range(1, steps + 1):
+        x = k / steps
+        a2, a1, a0 = derive_pole_quadratic(angles, complex(x, height(x)) * p_beta)
+        cand = cmath.sqrt(a1 * a1 - 4.0 * a2 * a0)
+        root = cand if abs(cand - root) <= abs(cand + root) else -cand
+    return root
+
+
+#: (angles, index of the placed zero, where it lands in t, zone zeros, and
+#: the sign against cmath.sqrt that the former waypoint continuation gave,
+#: None where its overlapping detours wound round one zero twice)
+BRANCH_CASES = {
+    "one-zone-zero-above": ((0.7, 0.4, 1.3), 0, 0.5 + 0.02j, 1, -1),
+    "one-zone-zero-below": ((0.7, 0.4, 1.3), 0, 0.5 - 0.02j, 1, 1),
+    "one-zero-on-the-segment": ((0.7, 0.4, 1.3), 0, 0.5, 1, -1),
+    "just-above-the-zone": ((0.7, 0.4, 1.3), 0, 0.5 + 0.06j, 0, 1),
+    "just-past-the-zone": ((0.7, 0.4, 1.3), 0, 1.07 + 0.01j, 0, 1),
+    "two-overlapping-conjugate": ((0.7, 0.62, 0.6), 0, 1.0 / 3.0 - 0.0443j, 2, None),
+    "two-overlapping-above": ((0.7, 0.6, 0.62), 0, 0.3 + 0.01j, 2, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_CASES))
+def test_branch_root_is_the_continued_root(name):
+    triple, index, t_placed, zone_count, parent_sign = BRANCH_CASES[name]
+    angles = AngleTriple(*triple)
+    p_beta = discriminant_zeros(angles)[index] / t_placed
+    zone = [z / p_beta for z in discriminant_zeros(angles)]
+    zone = [t for t in zone if abs(t.imag) < 0.05 and -0.05 < t.real < 1.05]
+    assert len(zone) == zone_count
+    if name == "one-zero-on-the-segment":
+        assert zone[0].imag == 0.0 and 0.0 < zone[0].real < 1.0
+
+    a2, a1, a0 = derive_pole_quadratic(angles, p_beta)
+    disc = a1 * a1 - 4.0 * a2 * a0
+    s = families._continued_sqrt_discriminant(angles, p_beta, disc)
+    principal = cmath.sqrt(disc)
+    assert repr(s) in (repr(principal), repr(-principal))
+    fine = continued_along_bent_segment(angles, p_beta, zone)
+    assert abs(fine - s) <= 1e-12 * abs(s)
+    if parent_sign is not None:
+        assert s == parent_sign * principal
+    _, p_gamma = solve_pole_positions(angles, p_beta, Branch.MINUS)
+    assert repr(p_gamma) == repr((-a1 + s) / (2.0 * a2))
 
 
 @pytest.mark.parametrize("triple", [(0.5, 0.5, 0.5), (1.0, 1.0, 1.0),
