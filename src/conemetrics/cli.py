@@ -9,6 +9,7 @@ are byte-deterministic for a given configuration.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -101,14 +102,23 @@ class RunConfig:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse the shell-safe a+bi / a-bi syntax (no spaces)."""
+    """Parse the shell-safe a+bi / a-bi syntax (no spaces) into a finite complex.
+
+    Only a trailing imaginary unit ``i`` or ``I`` is read as ``j``, so that
+    the ``i`` of ``inf`` stays as it is.
+    """
     s = str(text).strip()
     if not s or " " in s:
         raise ConfigError(f"malformed complex literal {text!r}")
+    if s[-1] in "iI":
+        s = s[:-1] + "j"
     try:
-        return complex(s.replace("i", "j").replace("I", "j"))
+        value = complex(s)
     except ValueError as exc:
         raise ConfigError(f"malformed complex literal {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise ConfigError(f"complex literal {text!r} is not finite")
+    return value
 
 
 def parse_grid(text: str) -> GridSpec:
@@ -129,12 +139,15 @@ _FLAG_KEYS = ("family", "beta", "c", "alpha", "gamma", "pbeta", "camp", "branch"
 
 
 def _number(merged: dict, key: str, default: float | None = None) -> float:
-    """``merged[key]`` as a float (``default`` if given and the key is absent)."""
+    """``merged[key]`` as a finite float (``default`` if given and the key is absent)."""
     value = merged[key] if default is None else merged.get(key, default)
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return number
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:

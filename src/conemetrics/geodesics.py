@@ -35,7 +35,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -57,6 +57,9 @@ ARRIVAL_RADIUS = 5e-7
 
 #: chart radius of the ball around 1 that a lifted 0-1 arc must enter
 ARC_ARRIVAL_RADIUS = 1e-2
+
+#: deepest dyadic level of a wide sample interval that is lifted in one call
+BISECT_DEPTH_CAP = 6
 
 #: the continuation gives up below this step in its parameter, or after this many steps
 _MIN_STEP = 1e-14
@@ -303,28 +306,65 @@ def _node_lift(nodes, positions, signed, targets):
     """Vectorised lift of parameters s from the continuation's nodes.
 
     ``targets(s, k)`` is the target at each s, given the index k of the
-    nearest node at or below it; each z is found by Newton from node k.
+    nearest node at or below it; each z is found by six Newton steps from
+    node k.  Each step takes ``z - p``, ``r / (z - p)`` and
+    ``r log((z - p) / (z_k - p))`` for all poles at once, as
+    ``(n_poles, N)`` arrays, and adds up their rows in pole order, Q' from 0
+    and Q from Q(z_k), with one ``np.add.accumulate`` each.  Every operation
+    acts point by point, so a point's bits do not depend on the batch it is
+    lifted in.  The node and pole arrays are built on the first call, so a
+    lift that is never called costs nothing.
     """
-    node_s = np.array([n[0] for n in nodes])
-    node_z, node_q, node_f = (np.array([n[i] for n in nodes], dtype=complex) for i in (1, 2, 5))
+    @cache
+    def arrays():
+        return (np.array([n[0] for n in nodes]),
+                *(np.array([n[i] for n in nodes], dtype=complex) for i in (1, 2, 5)),
+                np.array(positions, dtype=complex)[:, None],
+                np.array(signed, dtype=float)[:, None])
 
     def lift(s):
+        node_s, node_z, node_q, node_f, pole_p, pole_r = arrays()
         s = np.asarray(s, dtype=float)
         k = np.clip(np.searchsorted(node_s, s, side="right") - 1, 0, len(nodes) - 1)
         target = targets(s, k)
         zk, qk = node_z[k], node_q[k]
         z = zk + (target - qk) / node_f[k]
-        poles = [(p, r, zk - p) for p, r in zip(positions, signed)]
+        base = zk - pole_p
+        # row 0 starts each sum, Q' at 0 and Q at Q(z_k); the pole terms go
+        # in the rows below it, and accumulating down the rows adds them
+        # pole by pole
+        df = np.zeros((len(positions) + 1, z.size), dtype=complex)
+        dq = df.copy()
+        dq[0] = qk
         for _ in range(6):
-            f = np.zeros_like(z)
-            q = qk.copy()
-            for p, r, base in poles:
-                f += r / (z - p)
-                q += r * np.log((z - p) / base)
+            d = z - pole_p
+            np.divide(pole_r, d, out=df[1:])
+            np.multiply(pole_r, np.log(d / base), out=dq[1:])
+            f = np.add.accumulate(df)[-1]
+            q = np.add.accumulate(dq)[-1]
             z = z - (q - target) / f
         return z
 
     return lift
+
+
+def _dyadic_midpoints(lo, hi, depth):
+    """The dyadic points of each interval [lo_i, hi_i], down to ``depth_i`` halvings.
+
+    Each point is ``0.5 * (a + b)`` of the two ends of the interval it halves,
+    the expression by which the sample bisection forms it, so that the point
+    is the same float.  Returns them interval by interval, each in increasing
+    order.
+    """
+    top = int(depth.max())
+    ends = np.empty((lo.size, 2 ** top + 1))
+    ends[:, 0], ends[:, -1] = lo, hi
+    level = np.zeros(ends.shape[1])
+    for k in range(1, top + 1):
+        step = 2 ** (top - k + 1)
+        ends[:, step // 2::step] = 0.5 * (ends[:, :-1:step] + ends[:, step::step])
+        level[step // 2::step] = k
+    return ends[(level > 0) & (level <= depth[:, None])]
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +410,12 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
     samples are lifted from the same nodes on the first read of
     ``samples``: ``n + 1`` tau-uniform points, with every chord longer than
     four mean spacings bisected in tau (the declared consecutive-distance
-    bound), the last of them the arrival point.
+    bound), the last of them the arrival point.  The bisection goes level by
+    level.  When a level needs midpoints that are not lifted yet, one lift
+    call takes the dyadic points of each such chord down to
+    ``ceil(log2(chord / bound)) + 1`` halvings, at most ``BISECT_DEPTH_CAP``,
+    and later levels read them; a lifted point does not depend on its
+    batch, so the samples are those of one lift call per level.
     Tracing starts at chart offset ``LAUNCH_OFFSET`` from ``a`` and stops at
     ``ARRIVAL_RADIUS`` from ``b`` (or once ``|z| = clip_radius``, if given,
     else 2e6, for INFINITY).  Both cone stubs are closed-form vertex
@@ -453,16 +498,39 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
         z = lift(s)
         # the modulus grid crowds samples near the far cone; where the curve
         # sprints through the chart, bisect the grid level by level until every
-        # chord stays under four mean spacings of the nominal grid
+        # chord stays under four mean spacings of the nominal grid.  A chord
+        # that is not split stays as it is, so each level tests only the
+        # halves of the chords that the level before split.
         bound = 4.0 * float(np.sum(np.abs(np.diff(z)))) / n
+        lo_s, hi_s, lo_z, hi_z = s[:-1], s[1:], z[:-1], z[1:]
+        every_s, every_z = [s], [z]
+        # midpoints lifted ahead of their level, sorted by s; inf is a sentinel
+        ahead_s, ahead_z = np.array([math.inf]), np.zeros(1, dtype=complex)
         while True:
-            wide = np.flatnonzero((np.abs(np.diff(z)) > bound) & (np.diff(s) >= 1e-12))
+            chord = np.abs(hi_z - lo_z)
+            wide = np.flatnonzero((chord > bound) & (hi_s - lo_s >= 1e-12))
             if not wide.size:
                 break
-            mid = 0.5 * (s[wide] + s[wide + 1])
-            s = np.insert(s, wide + 1, mid)
-            z = np.insert(z, wide + 1, lift(mid))
-        return z.tolist()
+            lo_s, hi_s, lo_z, hi_z = lo_s[wide], hi_s[wide], lo_z[wide], hi_z[wide]
+            mid = 0.5 * (lo_s + hi_s)
+            at = np.searchsorted(ahead_s, mid)
+            miss = ahead_s[at] != mid
+            if miss.any():
+                depth = np.minimum(BISECT_DEPTH_CAP,
+                                   np.ceil(np.log2(chord[wide[miss]] / bound)) + 1.0)
+                fresh = _dyadic_midpoints(lo_s[miss], hi_s[miss], depth)
+                ahead_s = np.concatenate((ahead_s, fresh))
+                order = np.argsort(ahead_s)
+                ahead_s = ahead_s[order]
+                ahead_z = np.concatenate((ahead_z, lift(fresh)))[order]
+                at = np.searchsorted(ahead_s, mid)
+            mid_z = ahead_z[at]
+            every_s.append(mid)
+            every_z.append(mid_z)
+            lo_s, hi_s = np.concatenate((lo_s, mid)), np.concatenate((mid, hi_s))
+            lo_z, hi_z = np.concatenate((lo_z, mid_z)), np.concatenate((mid_z, hi_z))
+        order = np.argsort(np.concatenate(every_s), kind="stable")
+        return np.concatenate(every_z)[order].tolist()
 
     return GeodesicPath(length=stub_a + arc + stub_b,
                         endpoint_defect=defect,
@@ -537,9 +605,13 @@ def _arc_preimage(params: MetricParams, z0: complex, phi: float,
                                  form.positions, 1e-9, 1e3)
     except _Stopped:
         return None
-    node_t, node_w = (np.array([n[i] for n in nodes], dtype=complex) for i in (3, 4))
+
+    @cache
+    def node_targets():
+        return tuple(np.array([n[i] for n in nodes], dtype=complex) for i in (3, 4))
 
     def targets(s, k):
+        node_t, node_w = node_targets()
         ca = np.sin((1.0 - s) * omega) / sin_omega
         cb = np.sin(s * omega) / sin_omega
         w = (ca * ax + cb * bx + 1j * (ca * ay + cb * by)) / (1.0 - (ca * az + cb * bz))

@@ -95,34 +95,39 @@ def level_set_segments(values, xs, ys, level) -> np.ndarray:
     one segment; a saddle cell with four joins them in that order, first to
     second and third to fourth.  Cells with a non-finite corner, or with one
     or three crossings (a corner exactly on the level), give none.
+
+    The crossing test runs over every grid edge, each shared edge once
+    (the product commutes, so both of its cells see the same result); ``t``
+    and the crossing point are computed only at the kept edges of kept cells.
     """
     v = np.asarray(values, dtype=float)
-    ny, nx = v.shape
-    x = np.broadcast_to(np.asarray(xs, dtype=float), v.shape)
-    y = np.broadcast_to(np.asarray(ys, dtype=float)[:, None], v.shape)
-
-    def corner(grid, k):
-        """The k-th corner, in order 00, 10, 11, 01, of every cell."""
-        ix, iy = ((0, 0), (1, 0), (1, 1), (0, 1))[k % 4]
-        return grid[iy:iy + ny - 1, ix:ix + nx - 1]
-
-    crossed, cx, cy = [], [], []
     with np.errstate(all="ignore"):
-        for k in range(4):
-            va, vb = corner(v, k), corner(v, k + 1)
-            xa, ya = corner(x, k), corner(y, k)
-            t = (level - va) / (vb - va)
-            crossed.append((va - level) * (vb - level) < 0.0)
-            cx.append(xa + t * (corner(x, k + 1) - xa))
-            cy.append(ya + t * (corner(y, k + 1) - ya))
-    crossed = np.stack(crossed, axis=-1)
+        w = v - level
+        across = w[:, :-1] * w[:, 1:] < 0.0  # the edge from node (iy, ix) to (iy, ix + 1)
+        up = w[:-1, :] * w[1:, :] < 0.0  # the edge from node (iy, ix) to (iy + 1, ix)
+    # the edges of every cell in corner order: 00-10, 10-11, 11-01, 01-00
+    edges = (across[:-1], up[:, 1:], across[1:], up[:, :-1])
     finite = np.isfinite(v)
-    usable = corner(finite, 0) & corner(finite, 1) & corner(finite, 2) & corner(finite, 3)
-    count = crossed.sum(axis=-1)
-    keep = crossed & (usable & ((count == 2) | (count == 4)))[..., None]
-    points = np.empty(int(keep.sum()), dtype=complex)
-    points.real = np.stack(cx, axis=-1)[keep]
-    points.imag = np.stack(cy, axis=-1)[keep]
+    usable = finite[:-1, :-1] & finite[:-1, 1:] & finite[1:, 1:] & finite[1:, :-1]
+    # two or four crossings: some edge is crossed, and an even number of them
+    some = edges[0] | edges[1] | edges[2] | edges[3]
+    odd = edges[0] ^ edges[1] ^ edges[2] ^ edges[3]
+    iy, ix = np.nonzero(usable & some & ~odd)
+    cell, edge = np.nonzero(np.stack([e[iy, ix] for e in edges], axis=-1))
+    iy, ix = iy[cell], ix[cell]
+    # node offsets of the corners 00, 10, 11, 01, and of 00 again: edge k
+    # runs from corner k to corner k + 1
+    dx, dy = np.array((0, 1, 1, 0, 0)), np.array((0, 0, 1, 1, 0))
+    rows_a, cols_a = iy + dy[edge], ix + dx[edge]
+    rows_b, cols_b = iy + dy[edge + 1], ix + dx[edge + 1]
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    va, xa, ya = v[rows_a, cols_a], x[cols_a], y[rows_a]
+    with np.errstate(all="ignore"):
+        t = (level - va) / (v[rows_b, cols_b] - va)
+        points = np.empty(edge.size, dtype=complex)
+        points.real = xa + t * (x[cols_b] - xa)
+        points.imag = ya + t * (y[rows_b] - ya)
     return points.reshape(-1, 2)
 
 

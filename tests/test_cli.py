@@ -259,6 +259,54 @@ def test_wrong_typed_config_values_exit_2(capsys, tmp_path, payload, key):
     assert key in captured.err
 
 
+@pytest.mark.parametrize("flags,key", [
+    (["--family=heart", "--c=nan"], "c"),
+    (["--family=heart", "--beta=-inf"], "beta"),
+    (["--family=threefb", "--special", "--pbeta=0.3+0.2i", "--camp=nan"], "camp"),
+    (["--family=threefb", "--special", "--pbeta=0.3+0.2i", "--camp=inf"], "camp"),
+])
+def test_non_finite_numbers_exit_2(capsys, flags, key):
+    assert cli.main(["verify", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"invalid configuration: {key} must be finite")
+
+
+def test_non_finite_config_file_number_exits_2(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"family": "heart", "curvature_tol": NaN}')
+    assert cli.main(["verify", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid configuration: curvature_tol must be finite")
+
+
+@pytest.mark.parametrize("flag", ["--pbeta=nan+0i", "--pbeta=inf+0i", "--pbeta=0.3-infi",
+                                  "--palpha=nan+0.5i", "--pgamma=-inf+0i"])
+def test_non_finite_complex_literals_exit_2(capsys, flag):
+    flags = ["--family=threefb", "--special"]
+    flags += [flag] if flag.startswith("--pbeta") else ["--pbeta=0.3+0.2i", flag]
+    assert cli.main(["verify", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    literal = flag.split("=", 1)[1]
+    assert captured.err == f"invalid configuration: complex literal {literal!r} is not finite\n"
+
+
+@pytest.mark.parametrize("text,value", [
+    ("0.3+0.2i", 0.3 + 0.2j), ("0.3-0.2I", 0.3 - 0.2j), ("-2i", -2j), ("0.5", 0.5 + 0j),
+    ("1e-3+4e2i", 0.001 + 400j), ("0.3+0.2j", 0.3 + 0.2j),
+])
+def test_parse_complex_reads_the_trailing_unit_only(text, value):
+    assert cli.parse_complex(text) == value
+
+
+@pytest.mark.parametrize("text", ["", "0.3 + 0.2i", "0.3+0.2ii", "i0.3", "0.3+0.2k"])
+def test_parse_complex_rejects_malformed_literals(text):
+    with pytest.raises(cli.ConfigError, match="malformed complex literal"):
+        cli.parse_complex(text)
+
+
 # ---------------------------------------------------------------------------
 # the array checks of run_checks against the scalar loops they replaced
 

@@ -452,6 +452,118 @@ def test_radial_trace_keeps_arg_f_constant(name):
         assert np.max(np.abs(drift)) <= 1e-9, (a, b, u)
 
 
+def looped_node_lift(nodes, positions, signed, targets):
+    """The node lift with one pass per pole in each Newton step, which the
+    ``(n_poles, N)`` arrays replaced."""
+    node_s = np.array([n[0] for n in nodes])
+    node_z, node_q, node_f = (np.array([n[i] for n in nodes], dtype=complex) for i in (1, 2, 5))
+
+    def lift(s):
+        s = np.asarray(s, dtype=float)
+        k = np.clip(np.searchsorted(node_s, s, side="right") - 1, 0, len(nodes) - 1)
+        target = targets(s, k)
+        zk, qk = node_z[k], node_q[k]
+        z = zk + (target - qk) / node_f[k]
+        poles = [(p, r, zk - p) for p, r in zip(positions, signed)]
+        for _ in range(6):
+            f = np.zeros_like(z)
+            q = qk.copy()
+            for p, r, base in poles:
+                f += r / (z - p)
+                q += r * np.log((z - p) / base)
+            z = z - (q - target) / f
+        return z
+
+    return lift
+
+
+def levelwise_samples(lift, s_end, n):
+    """The sample grid bisected level by level, each level's midpoints lifted
+    in their own call: the sampler that the batched lifts replaced."""
+    s = np.linspace(0.0, s_end, n + 1)
+    z = lift(s)
+    bound = 4.0 * float(np.sum(np.abs(np.diff(z)))) / n
+    while True:
+        wide = np.flatnonzero((np.abs(np.diff(z)) > bound) & (np.diff(s) >= 1e-12))
+        if not wide.size:
+            break
+        mid = 0.5 * (s[wide] + s[wide + 1])
+        s = np.insert(s, wide + 1, mid)
+        z = np.insert(z, wide + 1, lift(mid))
+    return z.tolist()
+
+
+def sampled_traces(monkeypatch, mp, starts, n):
+    """``(path, args, calls)`` for every arriving trace that ``plot`` may draw from
+    ``starts``, and for the full traces from 0 to infinity.  ``args`` are the
+    arguments of the trace's node lift and ``calls`` the parameter arrays passed
+    to the lift: the first holds the arrival parameter ``s_end`` alone, the rest
+    are sample lifts."""
+    original, lifts = geodesics._node_lift, []
+
+    def recording(*args):
+        lift, calls = original(*args), []
+        lifts.append((args, calls))
+
+        def counted(s):
+            calls.append(np.array(s, dtype=float))
+            return lift(s)
+
+        return counted
+
+    monkeypatch.setattr(geodesics, "_node_lift", recording)
+    up = geodesics.launch_directions(mp, 0.0, increasing=True)
+    out = []
+    for a, b, u, clip in plot_traces(mp, starts) + [(0.0, INFINITY, v, None) for v in up]:
+        _, path = traced(trace_radial_preimage, mp, a, b, u, clip, n)
+        if path is not None:
+            out.append((path, *lifts[-1]))
+    monkeypatch.undo()
+    assert out
+    return out
+
+
+def sampled_metric(name):
+    """The metric, and the zeros that ``plot`` launches from: 0, and 1 on footballs."""
+    if name.startswith("heart"):
+        beta, c = {"heart-0.5": (0.5, 0.0), "heart-0.15-c0.4": (0.15, 0.4)}[name]
+        return heart_metric(HeartParams(beta, c)), (0.0,)
+    return football_metric(name), (0.0, 1.0)
+
+
+SAMPLED = ["heart-0.5", "heart-0.15-c0.4", "special-0.3+0.2i", "special-0.5", "generic-0.4+0.3i"]
+
+
+@pytest.mark.parametrize("n", [200, 240, 4000])
+@pytest.mark.parametrize("name", SAMPLED)
+def test_trace_samples_match_the_levelwise_bisection(monkeypatch, name, n):
+    # the midpoints lifted ahead of their level, by the pole-broadcast Newton,
+    # give the same samples bit for bit as lifting each level's midpoints in a
+    # call of their own, one pass per pole
+    for path, args, calls in sampled_traces(monkeypatch, *sampled_metric(name), n):
+        (s_end,) = calls[0]
+        assert path.samples == levelwise_samples(looped_node_lift(*args), s_end, n)
+
+
+@pytest.mark.parametrize("name", SAMPLED)
+def test_trace_samples_take_at_most_five_lift_calls(monkeypatch, name):
+    for path, _, calls in sampled_traces(monkeypatch, *sampled_metric(name), 240):
+        assert len(calls) == 1  # the arrival point, lifted alone
+        path.samples
+        assert 2 <= len(calls) <= 6, [c.size for c in calls]
+
+
+def test_node_lift_reads_no_node_before_its_first_call():
+    # report builds a lift for every arc it tries and calls none of them
+    class Unread(list):
+        def __iter__(self):
+            raise AssertionError("the nodes were read")
+
+    lift = geodesics._node_lift(Unread([None]), (0j,), (1.0,), None)
+    with pytest.raises(AssertionError, match="the nodes were read"):
+        lift(np.zeros(1))
+
+
 # ---------------------------------------------------------------------------
 # spherical trigonometry: the law-of-cosines angle, an oracle for the report's
 # theta, which the program takes as the developing phase |phi|

@@ -93,6 +93,29 @@ def test_level_set_segments_on_a_smooth_field_at_many_levels():
             == expected
 
 
+@pytest.mark.parametrize("flags", [
+    ["--family", "heart", "--beta", "0.5"],
+    ["--family", "threefb", "--special", "--pbeta", "0.3+0.2i"],
+], ids=["heart-0.5", "special-0.3+0.2i"])
+def test_level_set_segments_match_the_cell_loop_on_the_plot_grids(flags):
+    # the 61 x 61 log |F| grid and the seven levels that plot draws
+    cfg = cli.build_config(cli._build_parser().parse_args(["plot", *flags]))
+    mp, g = cfg.metric_params(), cfg.grid
+    xs = [g.x_min + (g.x_max - g.x_min) * i / (g.nx - 1) for i in range(g.nx)]
+    ys = [g.y_min + (g.y_max - g.y_min) * j / (g.ny - 1) for j in range(g.ny)]
+    nodes = np.array([[complex(x, y) for x in xs] for y in ys])
+    values = cli._log_modulus(mp, nodes)
+    anchor = float(cli._log_modulus(mp, np.zeros(1, dtype=complex))[0])
+    drawn = 0
+    for k in range(-3, 4):
+        level = anchor + k * math.log(2.0)
+        expected = loop_segments(values.tolist(), xs, ys, level)
+        assert [tuple(row) for row in level_set_segments(values, xs, ys, level).tolist()] \
+            == expected
+        drawn += bool(expected)
+    assert drawn >= 4
+
+
 def loop_polyline(canvas, points):
     """The ``points`` attribute from the per-point loop that the array code replaced."""
     pix = [canvas.to_pixels(complex(z)) for z in points]
