@@ -265,94 +265,112 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, float, float]]:
 
     The checks at scattered points (product form, metric equivalence, the
     gradient identity for Phi) and the curvature lattice each evaluate all
-    their points in one array call.
+    their points in one array call, and so do the cone-angle contours of all
+    marked points.  An error raised on the way is raised again, of the same
+    type, with the name of the check that raised it (``metric`` while the
+    metric is built) in front of its message.
     """
-    mp = cfg.metric_params()
-    tol = cfg.tolerances
-    checks: list[tuple[str, float, float]] = []
+    stage = "metric"
+    try:
+        mp = cfg.metric_params()
+        tol = cfg.tolerances
+        checks: list[tuple[str, float, float]] = []
 
-    residues = mp.form.residues
-    res_sum = abs(math.fsum(residues) + forms.residue_at_infinity(mp.form))
-    checks.append(("residue-sum", res_sum / max(1.0, sum(abs(r) for r in residues)), 1e-14))
+        stage = "residue-sum"
+        residues = mp.form.residues
+        res_sum = abs(math.fsum(residues) + forms.residue_at_infinity(mp.form))
+        checks.append((stage, res_sum / max(1.0, sum(abs(r) for r in residues)), 1e-14))
 
-    if cfg.family == "heart":
-        beta = cfg.heart.beta
-        gamma = 1.0 - beta
-        z = _sample_points(mp, 50, seed=7)
-        lhs = forms._coefficient(mp.form, z)
-        rhs = z / ((z - 1.0) * (z + gamma / beta))
-        worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
-        checks.append(("product-form", worst, 1e-12))
-        zeros = forms.finite_zeros(mp.form)
-        zero_defect = max(abs(root) for root, _ in zeros) if len(zeros) == 1 else math.inf
-        checks.append(("zero-placement", zero_defect, 1e-9))
-    else:
-        positions = mp.form.positions
-        r0, r1 = families.constraint_residual(
-            cfg.angles, positions[1], positions[0], positions[2])
-        checks.append(("constraint-residual", max(r0, r1), tol.residual_tol))
-        zeros = forms.finite_zeros(mp.form)
-        if len(zeros) == 2:
-            zero_defect = max(abs(zeros[0][0]), abs(zeros[1][0] - 1.0))
+        if cfg.family == "heart":
+            stage = "product-form"
+            beta = cfg.heart.beta
+            gamma = 1.0 - beta
+            z = _sample_points(mp, 50, seed=7)
+            lhs = forms._coefficient(mp.form, z)
+            rhs = z / ((z - 1.0) * (z + gamma / beta))
+            worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
+            checks.append((stage, worst, 1e-12))
+            stage = "zero-placement"
+            zeros = forms.finite_zeros(mp.form)
+            zero_defect = max(abs(root) for root, _ in zeros) if len(zeros) == 1 else math.inf
+            checks.append((stage, zero_defect, 1e-9))
         else:
-            zero_defect = math.inf
-        checks.append(("zero-placement", zero_defect, 1e-9))
+            stage = "constraint-residual"
+            positions = mp.form.positions
+            r0, r1 = families.constraint_residual(
+                cfg.angles, positions[1], positions[0], positions[2])
+            checks.append((stage, max(r0, r1), tol.residual_tol))
+            stage = "zero-placement"
+            zeros = forms.finite_zeros(mp.form)
+            if len(zeros) == 2:
+                zero_defect = max(abs(zeros[0][0]), abs(zeros[1][0] - 1.0))
+            else:
+                zero_defect = math.inf
+            checks.append((stage, zero_defect, 1e-9))
 
-    z = _sample_points(mp, 300, seed=11)
-    _, _, a = metric._evaluate(mp, z)
-    b = metric._developing_density(mp, z)
-    worst = float(np.max(np.abs(a - b) / np.maximum(np.maximum(a, b), 1e-300)))
-    checks.append(("metric-equivalence", worst, 1e-12))
+        stage = "metric-equivalence"
+        z = _sample_points(mp, 300, seed=11)
+        _, _, a = metric._evaluate(mp, z)
+        b = metric._developing_density(mp, z)
+        worst = float(np.max(np.abs(a - b) / np.maximum(np.maximum(a, b), 1e-300)))
+        checks.append((stage, worst, 1e-12))
 
-    worst = float(np.max(metric._phi_gradient_residuals(mp, _sample_points(mp, 100, seed=13))))
-    checks.append(("dphi-identity", worst, 1e-6))
+        stage = "dphi-identity"
+        worst = float(np.max(metric._phi_gradient_residuals(mp, _sample_points(mp, 100, seed=13))))
+        checks.append((stage, worst, 1e-6))
 
-    cells = _curvature_cells(mp, cfg.grid)
-    worst = math.inf
-    if cells.size:
-        kappa = metric.curvature_field(mp, cells)
-        hit = np.flatnonzero(np.isnan(kappa))
-        if hit.size:
-            raise StencilHitsSingularity(
-                f"stencil at {complex(cells[hit[0]])} touched a singular point")
-        worst = float(np.max(np.abs(kappa - 1.0)))
-    checks.append(("curvature", worst, tol.curvature_tol))
+        stage = "curvature"
+        cells = _curvature_cells(mp, cfg.grid)
+        worst = math.inf
+        if cells.size:
+            kappa = metric.curvature_field(mp, cells)
+            hit = np.flatnonzero(np.isnan(kappa))
+            if hit.size:
+                raise StencilHitsSingularity(
+                    f"stencil at {complex(cells[hit[0]])} touched a singular point")
+            worst = float(np.max(np.abs(kappa - 1.0)))
+        checks.append((stage, worst, tol.curvature_tol))
 
-    worst = 0.0
-    finite = [q for q, _, _ in mp.marked if q is not INFINITY]
-    for point, kind, coefficient in mp.marked:
-        # the estimate errs by about 0.26 (eps / d)^2, d the chart distance
-        # from the point to the nearest other singular point
-        if point is INFINITY:
-            d = 1.0 / max(abs(q) for q in finite)
+        stage = "cone-angles"
+        finite = [q for q, _, _ in mp.marked if q is not INFINITY]
+        contours = []
+        for point, _, _ in mp.marked:
+            # the estimate errs by about 0.26 (eps / d)^2, d the chart distance
+            # from the point to the nearest other singular point
+            if point is INFINITY:
+                d = 1.0 / max(abs(q) for q in finite)
+            else:
+                d = min(abs(q - point) for q in finite if q != point)
+            contours.append((point, max(1e-5, min(1e-3, d / 20.0))))
+        worst = 0.0
+        for (_, _, coefficient), est in zip(mp.marked,
+                                            metric._cone_angle_estimates(mp, contours, n=512)):
+            expected = 2.0 * math.pi * coefficient
+            worst = max(worst, abs(est - expected) / expected)
+        checks.append((stage, worst, 1e-2))
+
+        stage = "length-identities"
+        if cfg.family == "heart":
+            hp = cfg.heart
+            l01 = geodesics.radial_length(mp, 0.0, 1.0)
+            lgb = geodesics.radial_length(mp, 0.0, complex(-hp.gamma / hp.beta, 0.0))
+            linf = geodesics.radial_length(mp, 0.0, INFINITY)
+            closed = 2.0 * math.atan(families.heart_apex_image(hp))
+            residual = max(abs(l01 + linf - math.pi), abs(l01 - lgb), abs(l01 - closed))
+            checks.append((stage, residual, tol.length_tol))
+            stage = "traced-length"
+            trace = geodesics.trace_radial_preimage(mp, 0.0, 1.0, n=200)
+            checks.append((stage, abs(trace.length - l01), max(1e-6, tol.length_tol)))
         else:
-            d = min(abs(q - point) for q in finite if q != point)
-        eps = max(1e-5, min(1e-3, d / 20.0))
-        est = metric.cone_angle_estimate(mp, point, eps=eps, n=512)
-        expected = 2.0 * math.pi * coefficient
-        worst = max(worst, abs(est - expected) / expected)
-    checks.append(("cone-angles", worst, 1e-2))
-
-    if cfg.family == "heart":
-        hp = cfg.heart
-        l01 = geodesics.radial_length(mp, 0.0, 1.0)
-        lgb = geodesics.radial_length(mp, 0.0, complex(-hp.gamma / hp.beta, 0.0))
-        linf = geodesics.radial_length(mp, 0.0, INFINITY)
-        closed = 2.0 * math.atan(families.heart_apex_image(hp))
-        residual = max(abs(l01 + linf - math.pi), abs(l01 - lgb), abs(l01 - closed))
-        trace = geodesics.trace_radial_preimage(mp, 0.0, 1.0, n=200)
-        residual_trace = abs(trace.length - l01)
-        checks.append(("length-identities", residual, tol.length_tol))
-        checks.append(("traced-length", residual_trace, max(1e-6, tol.length_tol)))
-    else:
-        p_alpha = mp.form.positions[1]
-        s1 = (geodesics.radial_length(mp, 0.0, p_alpha)
-              + geodesics.radial_length(mp, 0.0, INFINITY))
-        s2 = (geodesics.radial_length(mp, 1.0, p_alpha)
-              + geodesics.radial_length(mp, 1.0, INFINITY))
-        residual = max(abs(s1 - math.pi), abs(s2 - math.pi))
-        checks.append(("length-identities", residual, tol.length_tol))
-
+            p_alpha = mp.form.positions[1]
+            s1 = (geodesics.radial_length(mp, 0.0, p_alpha)
+                  + geodesics.radial_length(mp, 0.0, INFINITY))
+            s2 = (geodesics.radial_length(mp, 1.0, p_alpha)
+                  + geodesics.radial_length(mp, 1.0, INFINITY))
+            residual = max(abs(s1 - math.pi), abs(s2 - math.pi))
+            checks.append((stage, residual, tol.length_tol))
+    except ConeMetricError as exc:
+        raise type(exc)(f"{stage}: {exc}") from exc
     return checks
 
 

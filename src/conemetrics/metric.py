@@ -15,8 +15,9 @@ residues and zeros of a :class:`~conemetrics.forms.CharacterForm`, and the
 marked points of a :class:`MetricParams`.
 
 Every array of points goes through one numpy kernel (``_evaluate``): the
-curvature stencil, the cone-angle contours, the CSV grid, and the scattered
-points of ``verify``'s checks.  One of those checks compares the kernel with
+curvature stencil, the cone-angle contours (all of them in one call, by
+``_cone_angle_estimates``), the CSV grid, and the scattered points of
+``verify``'s checks.  One of those checks compares the kernel with
 the developing route, whose array form (``_developing_density``) is kept
 apart from the kernel on purpose.  The scalar evaluators ``density_at`` and
 ``phi_at`` stay as independent oracles of the kernel; the two agree to
@@ -360,34 +361,51 @@ def cone_angle_estimate(params: MetricParams, p, eps: float = 1e-3, n: int = 102
     other singular point.  For ``p = INFINITY`` the circle is ``|w| = eps``
     in the w = 1/z chart, where the density is ``lambda / |w|^2``.
     """
-    if not (1e-5 <= eps <= 1e-2):
-        raise ValueError(f"eps={eps} outside [1e-5, 1e-2]")
+    return _cone_angle_estimates(params, [(p, eps)], n)[0]
+
+
+def _cone_angle_estimates(params: MetricParams, contours, n: int = 1024) -> list[float]:
+    """:func:`cone_angle_estimate` at each ``(p, eps)`` of ``contours``.
+
+    The contours are stacked as one ``(len(contours), n)`` array and go
+    through one kernel call; the rest of each estimate is taken row by row,
+    so each is the same float as a one-point call gives.
+    """
+    for _, eps in contours:
+        if not (1e-5 <= eps <= 1e-2):
+            raise ValueError(f"eps={eps} outside [1e-5, 1e-2]")
     if n < 256:
         raise ValueError(f"need at least 256 contour nodes, got {n}")
-    kind, residue = _classify_singular(params, p)
-    circle = eps * np.exp(2j * math.pi / n * np.arange(n))
-
-    if kind == "infinity":
-        others = [q for q, _, _ in singular_points(params) if q is not INFINITY]
-        if any(abs(q) > 1.0 / (3.0 * eps) for q in others):
-            raise QuadratureNearPole("a finite singular point crowds the contour at infinity")
-        z = 1.0 / circle
-        chart_scale = 1.0 / (eps * eps)
-    else:
-        center = complex(p)
-        others = [
-            q for q, _, _ in singular_points(params)
-            if q is not INFINITY and abs(q - center) > 1e-9
-        ]
-        if any(abs(q - center) < 3.0 * eps for q in others):
-            raise QuadratureNearPole(f"another singular point within 3*eps of {center}")
-        z = center + circle
-        chart_scale = 1.0
-
+    unit = np.exp(2j * math.pi / n * np.arange(n))
+    rows, scales, kinds = [], [], []
+    for p, eps in contours:
+        kind, residue = _classify_singular(params, p)
+        circle = eps * unit
+        if kind == "infinity":
+            others = [q for q, _, _ in singular_points(params) if q is not INFINITY]
+            if any(abs(q) > 1.0 / (3.0 * eps) for q in others):
+                raise QuadratureNearPole("a finite singular point crowds the contour at infinity")
+            rows.append(1.0 / circle)
+            scales.append(1.0 / (eps * eps))
+        else:
+            center = complex(p)
+            others = [
+                q for q, _, _ in singular_points(params)
+                if q is not INFINITY and abs(q - center) > 1e-9
+            ]
+            if any(abs(q - center) < 3.0 * eps for q in others):
+                raise QuadratureNearPole(f"another singular point within 3*eps of {center}")
+            rows.append(center + circle)
+            scales.append(1.0)
+        kinds.append((kind, residue))
+    z = np.array(rows)
     s, _, density = _evaluate(params, z)
-    rho = vertex_distance(params, p, z) if kind == "zero" else _distance_to_pole(s, residue)
-    arc = np.sqrt(density) / np.sin(rho)
-    return float(chart_scale * eps * 2.0 * math.pi / n * np.sum(arc))
+    out = []
+    for i, ((p, eps), (kind, residue)) in enumerate(zip(contours, kinds)):
+        rho = vertex_distance(params, p, z[i]) if kind == "zero" else _distance_to_pole(s[i], residue)
+        arc = np.sqrt(density[i]) / np.sin(rho)
+        out.append(float(scales[i] * eps * 2.0 * math.pi / n * np.sum(arc)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -441,3 +441,31 @@ def test_sample_points_are_the_scalar_draws(name, seed, count, clearance):
     mp = verify_config(ORACLE_CONFIGS[name]).metric_params()
     got = cli._sample_points(mp, count, seed=seed, clearance=clearance)
     assert got.tolist() == scalar_sample_points(mp, count, seed, clearance=clearance)
+
+
+def test_verify_abort_names_the_check_that_raised(capsys):
+    # P_alpha moved 1e-5 from P_beta: the cone-angle contour of P_beta would
+    # pass within 3 eps of P_alpha, so the estimate refuses to run
+    code, out = run(capsys, "verify", "--family=threefb", "--special", "--pbeta=0.3+0.2i",
+                    "--palpha=0.30001+0.2i")
+    assert code == 1
+    assert out.startswith("verification aborted: cone-angles: another singular point within"), out
+    code, out = run(capsys, "verify", "--family=threefb", "--special", "--pbeta=0.3+0.2i",
+                    "--palpha=0.3+0.2i")
+    assert code == 1
+    assert out == "verification aborted: metric: poles 0 and 1 share position (0.3+0.2j)\n"
+
+
+def wide_hearts(count):
+    """The first ``count`` hearts of random.Random(20261019), beta in (0.005, 0.995)
+    and c in (-20, 20); all of the first 400 pass verify."""
+    rng = random.Random(20261019)
+    return [(rng.uniform(0.005, 0.995), rng.uniform(-20.0, 20.0)) for _ in range(count)]
+
+
+def test_verify_passes_on_a_wide_box_of_hearts(capsys):
+    # beta near 1 puts the pole -gamma/beta next to the cone at 0, and a large
+    # |c| moves the whole traced-length trace toward F = 0 or infinity
+    for beta, c in wide_hearts(40):
+        code, out = run(capsys, "verify", "--family=heart", f"--beta={beta!r}", f"--c={c!r}")
+        assert code == 0, (beta, c, out)

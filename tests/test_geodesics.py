@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -260,11 +261,32 @@ def test_correct_returns_the_nearest_pole_distance(mp):
     goals = [0.45 + 0.72j] + [p + 0.01 * cmath.exp(0.3j) for p in positions]
     for goal in goals:
         target = q + sum(r * cmath.log((goal - p) / (z - p)) for p, r in zip(positions, residues))
-        step = geodesics._correct(positions, residues, z, q, goal + 1e-7, target)
+        step = geodesics._correct(positions, residues, None, z, q, goal + 1e-7, target)
         assert step is not None
-        z_new, _, _, nearest = step
+        x_new, z_new, _, _, nearest = step
+        assert x_new == z_new
         assert abs(z_new - goal) < 1e-12
         assert nearest == min(abs(z_new - p) for p in positions)
+    # from a node in the disc of each pole, in its log chart, to a goal 1e-6
+    # from the pole: the chart keeps the offset's digits, z lands within a few
+    # ulp, and the nearest pole is the vertex
+    discs = geodesics._discs(mp.form)
+    for k, p in enumerate(positions):
+        node = p + 0.1 * discs[k][3] * cmath.exp(0.3j)
+        q = sum(r * cmath.log(node - w) for w, r in zip(positions, residues))
+        f = sum(r / (node - w) for w, r in zip(positions, residues))
+        chart, u, slope, _ = geodesics._chart_at(discs, positions, residues, node, q, f)
+        assert chart[:2] == (p, k)
+        offset = 1e-6 * cmath.exp(2.0j)
+        target = q + sum(r * cmath.log((p + offset - w) / (node - w))
+                         for w, r in zip(positions, residues) if w != p)
+        target += residues[k] * (cmath.log(offset) - u)
+        guess = u + geodesics._predict(chart, q, slope, target)
+        x_new, z_new, _, _, nearest = geodesics._correct(positions, residues, chart, u, q,
+                                                         guess, target)
+        assert abs(cmath.exp(x_new) - offset) <= 1e-9 * abs(offset)
+        assert abs(z_new - (p + offset)) <= 4.0 * sys.float_info.epsilon * abs(p)
+        assert nearest == abs(cmath.exp(x_new))
 
 
 def dop853_radial_trace(params, a, b, n=400, launch_dir=None, clip_radius=None):
@@ -454,25 +476,56 @@ def test_radial_trace_keeps_arg_f_constant(name):
 
 def looped_node_lift(nodes, positions, signed, targets):
     """The node lift with one pass per pole in each Newton step, which the
-    ``(n_poles, N)`` arrays replaced."""
+    ``(n_poles, N)`` arrays replaced, taken chart by chart: the points lifted
+    from the nodes of one chart at a time, with that chart's Newton step."""
     node_s = np.array([n[0] for n in nodes])
-    node_z, node_q, node_f = (np.array([n[i] for n in nodes], dtype=complex) for i in (1, 2, 5))
+    node_q, node_slope, node_x = (np.array([n[i] for n in nodes], dtype=complex)
+                                  for i in (2, 5, 6))
+    charts = [n[7] for n in nodes]
 
     def lift(s):
         s = np.asarray(s, dtype=float)
         k = np.clip(np.searchsorted(node_s, s, side="right") - 1, 0, len(nodes) - 1)
         target = targets(s, k)
-        zk, qk = node_z[k], node_q[k]
-        z = zk + (target - qk) / node_f[k]
-        poles = [(p, r, zk - p) for p, r in zip(positions, signed)]
-        for _ in range(6):
-            f = np.zeros_like(z)
-            q = qk.copy()
-            for p, r, base in poles:
-                f += r / (z - p)
-                q += r * np.log((z - p) / base)
-            z = z - (q - target) / f
-        return z
+        out = np.empty(s.shape, dtype=complex)
+        for chart in {id(c): c for c in charts}.values():
+            sel = np.array([charts[j] is chart for j in k], dtype=bool)
+            if not sel.any():
+                continue
+            xk, qk, t = node_x[k[sel]], node_q[k[sel]], target[sel]
+            if chart is None:
+                x = xk + (t - qk) / node_slope[k[sel]]
+                poles = [(p, r, xk - p) for p, r in zip(positions, signed)]
+                for _ in range(6):
+                    f = np.zeros_like(x)
+                    q = qk.copy()
+                    for p, r, base in poles:
+                        f += r / (x - p)
+                        q += r * np.log((x - p) / base)
+                    x = x - (q - t) / f
+                out[sel] = x
+                continue
+            v, vertex, qv = chart[:3]
+            if qv is None:
+                x = xk + (t - qk) / node_slope[k[sel]]
+            else:
+                g = qk - qv
+                x = xk + np.log((t - qv) / g) * g / node_slope[k[sel]]
+            poles = [(j, r, v - p, (v - p) + np.exp(xk))
+                     for j, (p, r) in enumerate(zip(positions, signed))]
+            for _ in range(6):
+                e = np.exp(x)
+                f = np.zeros_like(x)
+                q = qk.copy()
+                for j, r, offset, base in poles:
+                    f += r / (offset + e)
+                    q += r * (x - xk) if j == vertex else r * np.log((offset + e) / base)
+                if qv is None:
+                    x = x - (q - t) / (f * e)
+                else:
+                    x = x - np.log((q - qv) / (t - qv)) * (q - qv) / (f * e)
+            out[sel] = v + np.exp(x)
+        return out
 
     return lift
 
@@ -874,3 +927,145 @@ def test_l01_side_matches_a_graph_distance_oracle(name):
     mp = football_metric(name)
     ratio = graph_distance(mp) / l01_side(mp)[0]
     assert 1.0 <= ratio <= 1.015
+
+
+# ---------------------------------------------------------------------------
+# the log charts at the cones: fewer nodes, the parent's arrival points
+
+def continued_node_counts(monkeypatch, run):
+    """The node counts of every continuation that arrives while ``run()`` runs."""
+    original, counts = geodesics._continue, []
+
+    def counting(*args):
+        s_end, nodes = original(*args)
+        counts.append(len(nodes))
+        return s_end, nodes
+
+    monkeypatch.setattr(geodesics, "_continue", counting)
+    run()
+    monkeypatch.undo()
+    return counts
+
+
+def test_heart_traced_length_trace_takes_at_most_40_nodes(monkeypatch):
+    # the z chart alone took 131: 49 in the disc of the zero at 0, 74 in that of the pole at 1
+    mp = heart_metric(HeartParams(0.5, 0.0))
+    counts = continued_node_counts(monkeypatch,
+                                   lambda: trace_radial_preimage(mp, 0.0, 1.0, n=200))
+    assert len(counts) == 1 and counts[0] <= 40, counts
+
+
+@pytest.mark.parametrize("p_beta", [0.3 + 0.2j, 0.3 - 0.2j, 0.5 + 0.0j])
+def test_report_arc_lift_takes_at_most_35_nodes(monkeypatch, p_beta):
+    # the decompose set of the benchmark; the z chart alone took 73-77 nodes
+    tf = make_three_football(special_case_angles(), p_beta, Branch.MINUS, 1.0)
+    counts = continued_node_counts(monkeypatch, lambda: decomposition_report(tf))
+    assert len(counts) == 1 and counts[0] <= 35, counts
+
+
+def radial_arrival(monkeypatch, mp, a, b, u=None, clip=None):
+    """``(s_end, z_end)`` of a radial trace: its first lift is the arrival point alone."""
+    original, arrivals = geodesics._node_lift, []
+
+    def recording(*args):
+        lift = original(*args)
+
+        def first(s):
+            z = lift(s)
+            if not arrivals:
+                arrivals.append((float(s[0]), complex(z[0])))
+            return z
+
+        return first
+
+    monkeypatch.setattr(geodesics, "_node_lift", recording)
+    trace_radial_preimage(mp, a, b, n=200, launch_dir=u, clip_radius=clip)
+    monkeypatch.undo()
+    return arrivals[0]
+
+
+def arc_arrival(angles, p_beta):
+    """``(s_end, z_end)`` of the 0-1 arc that the report lifts."""
+    mp = three_football_metric(make_three_football(angles, p_beta, Branch.MINUS, 1.0))
+    _, phi, z0 = l01_side(mp)
+    phi_lift = next(c[3] for c in geodesics._l01_candidates(mp) if c[1:3] == (phi, z0))
+    s_end, lift = geodesics._arc_preimage(mp, z0, phi_lift, developing_modulus(mp, 1.0),
+                                          1.0 + 0.0j, geodesics.ARC_ARRIVAL_RADIUS)
+    return s_end, complex(lift(np.array([s_end]))[0])
+
+
+#: (s_end, z_end) of the z-chart continuation that the log charts replaced
+PARENT_ARRIVALS = {
+    "heart-0.5-infinity-clipped": (2.307560253420629, 6.123233995736766e-21 + 9.999999999999995j),
+    "heart-0.15-c0.4-infinity-clipped+": (1.1541666330424498,
+                                          7.887274302848613 + 6.147430688639287j),
+    "heart-0.15-c0.4-infinity-clipped-": (1.1541666330424498,
+                                          7.887274302848613 - 6.147430688639287j),
+    "special-infinity-clipped": (1.864911513112978, 8.300541662728868 - 5.576827781571016j),
+    "arc-special-0.3+0.2i": (0.9999388760395019, 0.9947494984172419 - 0.008510712845003088j),
+    "arc-special-0.3-0.2i": (0.9999388760395019, 0.9947494984172419 + 0.008510712845003088j),
+    "arc-special-0.5": (0.9999844134159603, 0.997318232577485 + 0.009633697290664517j),
+    "arc-special-0.4+0.1i": (0.9999651540979326, 0.9977659590762976 - 0.009747259161073687j),
+    "arc-generic-0.4+0.3i": (0.9998295106640531, 0.9929409711850239 - 0.007083086346331719j),
+}
+
+
+def pinned_arrival(monkeypatch, name):
+    heart_half = heart_metric(HeartParams(0.5, 0.0))
+    heart_low = heart_metric(HeartParams(0.15, 0.4))
+    up, down = geodesics.launch_directions(heart_low, 0.0, increasing=True)
+    if name == "heart-0.5-infinity-clipped":
+        u = geodesics.launch_directions(heart_half, 0.0, increasing=True)[0]
+        return radial_arrival(monkeypatch, heart_half, 0.0, INFINITY, u, 10.0)
+    if name.startswith("heart-0.15-c0.4-infinity-clipped"):
+        return radial_arrival(monkeypatch, heart_low, 0.0, INFINITY,
+                              up if name.endswith("+") else down, 10.0)
+    if name == "special-infinity-clipped":
+        fixture = football_metric("special-0.3+0.2i")
+        u = geodesics.launch_directions(fixture, 0.0, increasing=True)[0]
+        return radial_arrival(monkeypatch, fixture, 0.0, INFINITY, u, 10.0)
+    if name == "arc-special-0.3-0.2i":
+        return arc_arrival(special_case_angles(), 0.3 - 0.2j)
+    angles, p_beta, _, _ = FOOTBALLS[name.removeprefix("arc-")]
+    return arc_arrival(angles, p_beta)
+
+
+@pytest.mark.parametrize("name", list(PARENT_ARRIVALS))
+def test_arrival_matches_the_z_chart_continuation(monkeypatch, name):
+    # the charts change the nodes, not the curve: where the gap is well
+    # conditioned, the arrival lands where the z chart landed
+    s_end, z_end = pinned_arrival(monkeypatch, name)
+    s_old, z_old = PARENT_ARRIVALS[name]
+    assert abs(s_end - s_old) <= 1e-12 * abs(s_old)
+    assert abs(z_end - z_old) <= 1e-12 * abs(z_old)
+
+
+#: (b, residue at b, s_end, z_end) of radial traces into a pole, by the z chart alone
+PARENT_POLE_ARRIVALS = {
+    "heart-0.5-to-1": (1.0, 0.5, 6.907755398962904, 0.9999994999999999 - 1.2246471176023343e-30j),
+    "heart-0.5-to-minus-1": (-1.0, 0.5, 6.907755398962939,
+                             -0.9999994999999999 + 1.2246471176024151e-30j),
+    "heart-0.15-c0.4-to-1": (1.0, 0.15, 2.0381576333292704,
+                             0.9999994999999992 - 7.204401090529195e-31j),
+    "special-to-p_alpha": (1, None, 36.040185693622746, -3.76533151246886 + 3.729428436885205j),
+    "special-to-p_beta": (0, None, 15.040861812966043, 0.2999999321922582 + 0.2000004953807729j),
+}
+
+
+@pytest.mark.parametrize("name", list(PARENT_POLE_ARRIVALS))
+def test_pole_arrival_matches_the_z_chart_continuation(monkeypatch, name):
+    # z_end to 1e-12.  s_end only as far as the gap |z - b| - ARRIVAL_RADIUS
+    # fixes it: z is rounded to ulps of |b| while |z - b| grows only by
+    # ARRIVAL_RADIUS / |r_b| per unit of s, so both continuations place s_end
+    # within a few eps |b| |r_b| / ARRIVAL_RADIUS (1e-11 to 4e-10 relative)
+    b, residue, s_old, z_old = PARENT_POLE_ARRIVALS[name]
+    if name.startswith("special"):
+        mp = football_metric("special-0.3+0.2i")
+        b, residue = mp.form.positions[b], mp.form.residues[b]
+    else:
+        beta, c = (0.5, 0.0) if name.startswith("heart-0.5") else (0.15, 0.4)
+        mp = heart_metric(HeartParams(beta, c))
+    s_end, z_end = radial_arrival(monkeypatch, mp, 0.0, b)
+    assert abs(z_end - z_old) <= 1e-12 * abs(z_old)
+    conditioning = sys.float_info.epsilon * abs(b) * abs(residue) / geodesics.ARRIVAL_RADIUS
+    assert abs(s_end - s_old) <= 16.0 * conditioning

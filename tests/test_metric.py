@@ -256,7 +256,7 @@ def _heart_cone_angles(beta):
                               (0.0, 2.0), (INFINITY, 1.0)]
 
 
-@pytest.mark.parametrize("case", [
+CONE_CASES = [
     pytest.param(lambda: _heart_cone_angles(0.6), id="heart-0.6"),
     # the pole at 1 has k = 0.1, and |F| > 1 on its contour
     pytest.param(lambda: _heart_cone_angles(0.1), id="heart-0.1"),
@@ -265,13 +265,26 @@ def _heart_cone_angles(beta):
     pytest.param(lambda: _football_cone_angles(make_three_football(
         AngleTriple(1.02995, 0.757849, 0.821805), complex(-1.32657, -1.41649),
         Branch.MINUS, 1.38803)), id="football-pole-near-infinity"),
-])
+]
+
+
+@pytest.mark.parametrize("case", CONE_CASES)
 def test_cone_angles_heart(case):
     mp, points = case()
     for p, k in points:
         expected = 2.0 * math.pi * k
         est = cone_angle_estimate(mp, p, eps=1e-3, n=512)
         assert abs(est - expected) <= 0.01 * expected, (p, est, expected)
+
+
+@pytest.mark.parametrize("case", CONE_CASES)
+def test_stacked_cone_contours_give_the_one_point_estimates(case):
+    # all contours in one kernel call, each with its own eps, give every
+    # estimate to the bit
+    mp, points = case()
+    contours = [(p, eps) for (p, _), eps in zip(points, (1e-3, 2e-4, 1e-5, 1e-3, 5e-4, 3e-5))]
+    stacked = metric._cone_angle_estimates(mp, contours, n=512)
+    assert stacked == [cone_angle_estimate(mp, p, eps=eps, n=512) for p, eps in contours]
 
 
 def test_singular_points_returns_a_fresh_list():

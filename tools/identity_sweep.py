@@ -1,0 +1,165 @@
+"""Byte-identity sweep of the CLI between a parent revision and the working tree.
+
+    python3 tools/identity_sweep.py --parent HEAD~1 [--expect PATTERN ...] [--keep DIR]
+
+Run it from anywhere inside the repository.  It ``git archive``s the parent
+revision into a temporary directory and runs ``verify``, ``report``,
+``sample --grid=-3,3,-3,3,41,41`` and ``plot`` on every distinct
+configuration of ``build_ops("verify-sweep", seed)`` for seeds 1 and 7919,
+plus ``DECOMPOSE_SET`` (206 configurations), once under each tree, each tree
+in a fresh interpreter of its own.  Then it compares exit codes, stdout line
+by line, stderr, and the CSV and SVG files, and prints every difference
+under a key such as ``c017/verify/stdout:traced-length`` or
+``c017/plot/plot.svg``, with the configuration it names.  Differences whose
+key matches an ``--expect`` glob (fnmatch) are intended; any other makes the
+exit status 1.  ``--keep DIR`` keeps both output trees there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import fnmatch
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+COMMANDS = ("verify", "report", "sample", "plot")
+SAMPLE_GRID = "-3,3,-3,3,41,41"
+SEEDS = (1, 7919)
+
+#: runs every command of every configuration in one interpreter, from the
+#: ``src`` directory of one tree; argv: src dir, output dir, configs JSON, sample grid
+_WORKER = r"""
+import contextlib, io, json, os, sys
+src, out, configs, grid = sys.argv[1:5]
+sys.path.insert(0, src)
+from conemetrics import cli
+os.chdir(out)
+for name, flags in json.load(open(configs)):
+    for command in ("verify", "report", "sample", "plot"):
+        where = os.path.join(name, command)
+        os.makedirs(where)
+        argv = [command] + flags
+        if command == "sample":
+            argv.append("--grid=" + grid)
+        if command in ("sample", "plot"):
+            argv.append("--out=" + where)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        for part, text in (("exit", f"{code}\n"), ("stdout", stdout.getvalue()),
+                           ("stderr", stderr.getvalue())):
+            with open(os.path.join(where, part), "w") as fh:
+                fh.write(text)
+"""
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        prog="identity_sweep",
+        description="compare every CLI output on the sweep configurations with a parent revision")
+    parser.add_argument("--parent", required=True, metavar="REV",
+                        help="git revision to compare the working tree with")
+    parser.add_argument("--expect", action="append", default=[], metavar="PATTERN",
+                        help="glob of difference keys that are intended (repeatable)")
+    parser.add_argument("--keep", metavar="DIR",
+                        help="keep the two output trees in DIR/parent and DIR/change")
+    return parser.parse_args(argv)
+
+
+def sweep_configs() -> list[tuple[str, list[str], str]]:
+    """``(name, flags, label)`` of every distinct configuration, in first-seen order."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    from workloads import DECOMPOSE_SET, build_ops
+
+    seen: dict[tuple[str, ...], str] = {}
+    for seed in SEEDS:
+        for op in build_ops("verify-sweep", seed):
+            seen.setdefault(tuple(op.config.flags()), op.config.label)
+    for cfg in DECOMPOSE_SET:
+        seen.setdefault(tuple(cfg.flags()), cfg.label)
+    return [(f"c{i:03d}", list(flags), label) for i, (flags, label) in enumerate(seen.items())]
+
+
+def archive(rev: str, dest: str) -> None:
+    """Extract the files of ``rev`` into ``dest``."""
+    done = subprocess.run(["git", "-C", ROOT, "archive", rev], capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(done.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_tree(src: str, out: str, configs_file: str) -> None:
+    os.makedirs(out)
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-c", _WORKER, src, out, configs_file, SAMPLE_GRID],
+                   env=env, check=True)
+
+
+def _read(path: str) -> bytes | None:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
+def compare(parent: str, change: str, configs) -> list[tuple[str, str]]:
+    """Every difference as ``(key, detail)``."""
+    out = []
+    for name, _, _ in configs:
+        for command in COMMANDS:
+            a_dir, b_dir = os.path.join(parent, name, command), os.path.join(change, name, command)
+            files = sorted(set(os.listdir(a_dir)) | set(os.listdir(b_dir)))
+            for part in files:
+                a, b = _read(os.path.join(a_dir, part)), _read(os.path.join(b_dir, part))
+                if a == b:
+                    continue
+                key = f"{name}/{command}/{part}"
+                if part != "stdout" or a is None or b is None:
+                    out.append((key, "differs" if a is not None and b is not None
+                                else "only in " + ("change" if a is None else "parent")))
+                    continue
+                a_lines, b_lines = a.decode().splitlines(), b.decode().splitlines()
+                if len(a_lines) != len(b_lines):
+                    out.append((key, f"{len(a_lines)} lines -> {len(b_lines)} lines"))
+                    continue
+                for i, (x, y) in enumerate(zip(a_lines, b_lines)):
+                    if x != y:
+                        label = x.split(":", 1)[0] if ":" in x else f"line{i + 1}"
+                        out.append((f"{key}:{label}", f"- {x}\n    + {y}"))
+    return out
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    configs = sweep_configs()
+    with tempfile.TemporaryDirectory(prefix="identity-sweep-") as tmp:
+        base = args.keep or tmp
+        configs_file = os.path.join(tmp, "configs.json")
+        with open(configs_file, "w") as fh:
+            json.dump([(name, flags) for name, flags, _ in configs], fh)
+        tree = os.path.join(tmp, "tree")
+        archive(args.parent, tree)
+        run_tree(os.path.join(tree, "src"), os.path.join(base, "parent"), configs_file)
+        run_tree(os.path.join(ROOT, "src"), os.path.join(base, "change"), configs_file)
+        diffs = compare(os.path.join(base, "parent"), os.path.join(base, "change"), configs)
+    labels = {name: label for name, _, label in configs}
+    unexpected = 0
+    for key, detail in diffs:
+        expected = any(fnmatch.fnmatchcase(key, pattern) for pattern in args.expect)
+        unexpected += not expected
+        print(f"{'expected' if expected else 'DIFFERS'} {key} [{labels[key.split('/')[0]]}]")
+        print(f"    {detail}")
+    print(f"{len(configs)} configurations x {len(COMMANDS)} commands: {len(diffs)} differences, "
+          f"{unexpected} unexpected")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
