@@ -46,6 +46,9 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ConfigError(f"grid needs nx, ny >= 2, got {self.nx}, {self.ny}")
+        if not all(map(math.isfinite, (*self.bounds, self.x_max - self.x_min,
+                                       self.y_max - self.y_min))):
+            raise ConfigError(f"grid bounds and spans must be finite, got {self.bounds}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ConfigError("grid bounds must satisfy x_min < x_max and y_min < y_max")
 
@@ -222,7 +225,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 def _clear_of_marks(mp: MetricParams, z: np.ndarray, clearance: float) -> np.ndarray:
     """Mask of the points of ``z`` farther than ``clearance`` from every finite marked point."""
-    finite = np.array([q for q, _, _ in mp.marked if q is not INFINITY])
+    finite = np.array([m.position for m in mp.marked if m.kind != "infinity"])
     return np.all(np.abs(z[:, None] - finite) > clearance, axis=1)
 
 
@@ -332,20 +335,11 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, float, float]]:
         checks.append((stage, worst, tol.curvature_tol))
 
         stage = "cone-angles"
-        finite = [q for q, _, _ in mp.marked if q is not INFINITY]
-        contours = []
-        for point, _, _ in mp.marked:
-            # the estimate errs by about 0.26 (eps / d)^2, d the chart distance
-            # from the point to the nearest other singular point
-            if point is INFINITY:
-                d = 1.0 / max(abs(q) for q in finite)
-            else:
-                d = min(abs(q - point) for q in finite if q != point)
-            contours.append((point, max(1e-5, min(1e-3, d / 20.0))))
+        # the estimate errs by about 0.26 (eps / d)^2, d the mark's clearance
+        contours = [(m, max(1e-5, min(1e-3, m.clearance / 20.0))) for m in mp.marked]
         worst = 0.0
-        for (_, _, coefficient), est in zip(mp.marked,
-                                            metric._cone_angle_estimates(mp, contours, n=512)):
-            expected = 2.0 * math.pi * coefficient
+        for m, est in zip(mp.marked, metric._cone_angle_estimates(mp, contours, n=512)):
+            expected = 2.0 * math.pi * m.coefficient
             worst = max(worst, abs(est - expected) / expected)
         checks.append((stage, worst, 1e-2))
 
@@ -456,8 +450,8 @@ def _plot_traces(canvas: svg.SvgCanvas, mp: MetricParams, targets) -> None:
 
 def _pole_launches(mp: MetricParams, start: float, pole: complex) -> list:
     """Launches from the zero ``start`` toward a pole: the default pick, then the opposite."""
-    residue = next(p.residue for p in mp.form.poles if abs(p.position - pole) <= 1e-9)
-    return [(start, None), (start, -geodesics._default_launch(mp, start, pole, residue < 0.0))]
+    increasing = mp.mark_at(pole).residue < 0.0
+    return [(start, None), (start, -geodesics._default_launch(mp, start, pole, increasing))]
 
 
 def _log_modulus(mp: MetricParams, z: np.ndarray) -> np.ndarray:

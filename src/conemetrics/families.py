@@ -49,8 +49,8 @@ from .errors import (
 from .forms import CharacterForm, make_form
 
 #: chart distance under which two marked points count as colliding and the
-#: solver raises ``CollidingPoles``; downstream code tells marked points apart
-#: by matching positions to the same 1e-9
+#: solver raises ``CollidingPoles``; ``MetricParams.mark_at`` tells marked
+#: points apart by matching positions to the same 1e-9
 COLLISION_TOL = 1e-9
 
 #: relative bound the solved triples must satisfy on both constraints

@@ -52,10 +52,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EndpointNotReached, TraceDiverged
+from .errors import EndpointNotReached, NotASingularPoint, TraceDiverged
 from .families import ThreeFootballParams, three_football_metric
-from .forms import INFINITY, CharacterForm, coefficient_derivative_at, finite_zeros
-from .metric import MetricParams, developing_modulus, vertex_distance
+from .forms import INFINITY, coefficient_derivative_at
+from .metric import MetricParams, _vertex_distance, developing_modulus, vertex_distance
 
 #: chart offset from which paths launch out of a cone point
 LAUNCH_OFFSET = 1e-4
@@ -175,21 +175,19 @@ class _Stopped(Exception):
     """
 
 
-def _discs(form: CharacterForm):
-    """The log-chart disc of every finite marked point.
+def _discs(marked):
+    """The log-chart disc of every finite marked point, from the records ``marked``.
 
     Each disc is ``(v, k, others, radius)``: its centre v, the index k of the
     pole at v (-1 at a zero), the other finite marked points, and the radius
-    ``DISC_FRACTION d``, d the distance from v to the nearest of them.  With
-    a fraction below one half the discs are disjoint.
+    ``DISC_FRACTION`` times the mark's clearance, the distance from v to the
+    nearest of them.  With a fraction below one half the discs are disjoint.
     """
-    marks = [(p, k) for k, p in enumerate(form.positions)]
-    marks += [(a, -1) for a, _ in finite_zeros(form)]
-    out = []
-    for i, (v, k) in enumerate(marks):
-        others = tuple(w for j, (w, _) in enumerate(marks) if j != i)
-        out.append((v, k, others, DISC_FRACTION * min(abs(w - v) for w in others)))
-    return tuple(out)
+    finite = [m for m in marked if m.kind != "infinity"]
+    return tuple((m.position, m.pole,
+                  tuple(w.position for j, w in enumerate(finite) if j != i),
+                  DISC_FRACTION * m.clearance)
+                 for i, m in enumerate(finite))
 
 
 class _Chart(NamedTuple):
@@ -336,7 +334,7 @@ def _correct(positions, signed, chart, x: complex, q: complex, x_new: complex, t
             x_new -= cmath.log(g / (target - qv)) * g / (f * e)
 
 
-def _continue(form: CharacterForm, sign: float, z0: complex, q0: complex, start, advance,
+def _continue(params: MetricParams, sign: float, z0: complex, q0: complex, start, advance,
               ds: float | None, s_max: float, gap, avoid, avoid_radius: float, escape: float):
     """Follow the solution of Q(z) = target(s) from z0 at s = 0 by Newton continuation.
 
@@ -372,9 +370,10 @@ def _continue(form: CharacterForm, sign: float, z0: complex, q0: complex, start,
     ``|z| <= escape``, or stalls, or when s reaches ``s_max`` first.  The
     tests on z are the same in every chart.
     """
+    form = params.form
     positions = form.positions
     signed = tuple(sign * r for r in form.residues)
-    discs = _discs(form)
+    discs = _discs(params.marked)
     f = sum(r / (z0 - p) for p, r in zip(positions, signed))
     chart, x, slope, reach = _chart_at(discs, positions, signed, z0, q0, f)
     s, z, q = 0.0, z0, q0
@@ -646,40 +645,37 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
     ``ARRIVAL_RADIUS`` from ``b`` (or once ``|z| = clip_radius``, if given,
     else 2e6, for INFINITY).  Both cone stubs are closed-form vertex
     distances (:func:`~conemetrics.metric.vertex_distance`), included in
-    ``length``.  Raises :class:`TraceDiverged` when the trace comes within
-    1e-11 of another pole, leaves ``|z| <= 1e3`` toward a finite pole, or
-    stalls, and :class:`EndpointNotReached` when tau runs 200 without arrival.
+    ``length``.  Raises :class:`TraceDiverged` when b is not a pole or marked
+    INFINITY, or the trace comes within 1e-11 of another pole, leaves
+    ``|z| <= 1e3`` toward a finite pole, or stalls, and
+    :class:`EndpointNotReached` when tau runs 200 without arrival.
     """
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
     a = complex(a)
     form = params.form
 
+    try:
+        mark_b = params.mark_at(b)
+    except NotASingularPoint:
+        mark_b = None
+    if mark_b is None or mark_b.kind == "zero":
+        raise TraceDiverged("|F| has a finite limit at infinity; no radial target there"
+                            if b is INFINITY else f"target {complex(b)} is not a pole of the form")
+    # |F| grows toward a vertex where omega has a negative residue
+    increasing = mark_b.residue < 0.0
+    avoid = tuple(p for k, p in enumerate(form.positions) if k != mark_b.pole)
+    escape = math.inf if b is INFINITY else 1.0e3
     if b is INFINITY:
-        # |F| ~ |z|^(sum of residues) at infinity
-        total = sum(p.residue for p in form.poles)
-        increasing = total > 0.0
-        if total == 0.0:
-            raise TraceDiverged("|F| has a finite limit at infinity; no radial target there")
         limit = clip_radius if clip_radius is not None else 2.0e6
 
         def gap(z: complex) -> float:
             return limit - abs(z)
-
-        avoid, escape = form.positions, math.inf
     else:
         b = complex(b)
-        res_b = next(
-            (p.residue for p in form.poles if abs(p.position - b) <= 1e-9), None)
-        if res_b is None:
-            raise TraceDiverged(f"target {b} is not a pole of the form")
-        increasing = res_b < 0.0
 
         def gap(z: complex) -> float:
             return abs(z - b) - ARRIVAL_RADIUS
-
-        avoid = tuple(p for p in form.positions if abs(p - b) > 1e-9)
-        escape = 1.0e3
 
     u_hat = _default_launch(params, a, b, increasing) if launch_dir is None \
         else complex(launch_dir) / abs(complex(launch_dir))
@@ -692,7 +688,7 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
 
     q0 = complex(tau0, 0.0)
     try:
-        s_end, nodes = _continue(form, 1.0, z_start, q0, (q0, None), advance, None, 200.0,
+        s_end, nodes = _continue(params, 1.0, z_start, q0, (q0, None), advance, None, 200.0,
                                  gap, avoid, 1e-11, escape)
     except _Stopped as stop:
         reason, z = stop.args
@@ -716,7 +712,7 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
     if b is INFINITY and clip_radius is not None:
         stub_b = 0.0  # a clipped trace stops short of infinity on purpose
     else:
-        stub_b = float(vertex_distance(params, b, z_end))
+        stub_b = float(_vertex_distance(params, mark_b, b, z_end))
     defect = 1.0 / abs(z_end) if b is INFINITY else abs(z_end - b)
 
     def sample() -> list[complex]:
@@ -828,7 +824,7 @@ def _arc_preimage(params: MetricParams, z0: complex, phi: float,
         return None
     q0 = complex(math.log(mod_start), 0.0)
     try:
-        s_end, nodes = _continue(form, sign, z0, q0, (q0, w0), advance, 1.0 / 64.0, 1.0,
+        s_end, nodes = _continue(params, sign, z0, q0, (q0, w0), advance, 1.0 / 64.0, 1.0,
                                  lambda z: abs(z - stop_center) - stop_radius,
                                  form.positions, 1e-9, 1e3)
     except _Stopped:

@@ -12,7 +12,9 @@ which is exactly the pullback of the round sphere metric under the
 module is a plain function of a :class:`MetricParams`; the only state kept
 is what is built once per form and read on every call: the positions,
 residues and zeros of a :class:`~conemetrics.forms.CharacterForm`, and the
-marked points of a :class:`MetricParams`.
+marked points of a :class:`MetricParams`, one :class:`Mark` each, which every
+layer reads; only the one-point entry points look one up by position
+(:meth:`MetricParams.mark_at`).
 
 Every array of points goes through one numpy kernel (``_evaluate``): the
 curvature stencil, the cone-angle contours (all of them in one call, by
@@ -37,6 +39,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +61,22 @@ CURVATURE_STEP = 1e-4
 CSV_BLOCK_POINTS = 1024
 
 
+class Mark(NamedTuple):
+    """One marked point: its ``position`` (or INFINITY), its ``kind`` ("pole",
+    "zero" or "infinity"), the ``residue`` of omega there (0 at a zero,
+    ``-sum r_k`` at INFINITY), the ``coefficient`` k of its cone angle
+    2 pi k, its index ``pole`` into ``form.poles`` (-1 at a zero or INFINITY),
+    and its ``clearance``: the chart distance to the nearest other finite
+    mark, ``1 / max |q|`` at INFINITY."""
+
+    position: object
+    kind: str
+    residue: float
+    coefficient: float
+    pole: int
+    clearance: float
+
+
 @dataclass(frozen=True)
 class MetricParams:
     """A character form together with the additive log-scale constant c.
@@ -70,15 +89,36 @@ class MetricParams:
     c_log: float = 0.0
 
     @cached_property
-    def marked(self) -> tuple[tuple[object, str, float], ...]:
-        """The marked points; see :func:`singular_points`."""
+    def marked(self) -> tuple[Mark, ...]:
+        """One :class:`Mark` per marked point: the poles in order, the finite
+        zeros, then INFINITY unless it is a regular point.  Smooth points
+        (coefficient 1) are still listed."""
         form = self.form
-        out = [(p.position, "pole", abs(p.residue)) for p in form.poles]
-        out += [(root, "zero", order + 1.0) for root, order in form.zeros]
+        finite = [(p.position, "pole", p.residue, abs(p.residue), k)
+                  for k, p in enumerate(form.poles)]
+        finite += [(root, "zero", 0.0, order + 1.0, -1) for root, order in form.zeros]
+        points = [v for v, *_ in finite]
+        out = [Mark(*entry, min(abs(w - v) for j, w in enumerate(points) if j != i))
+               for i, (v, entry) in enumerate(zip(points, finite))]
         res_inf = forms.residue_at_infinity(form)
         if res_inf != 0.0:
-            out.append((INFINITY, "infinity", abs(res_inf)))
+            out.append(Mark(INFINITY, "infinity", res_inf, abs(res_inf), -1,
+                            1.0 / max(abs(w) for w in points)))
         return tuple(out)
+
+    def mark_at(self, p) -> Mark:
+        """The record of the marked point at p: a pole within 1e-9, a zero
+        within 1e-7, or INFINITY; raises ``NotASingularPoint`` elsewhere."""
+        if p is INFINITY:
+            if self.marked[-1].position is INFINITY:
+                return self.marked[-1]
+            raise NotASingularPoint("infinity is a regular point of this form")
+        p = complex(p)
+        for mark in self.marked:
+            if (mark.kind != "infinity"
+                    and abs(p - mark.position) <= (1e-9 if mark.kind == "pole" else 1e-7)):
+                return mark
+        raise NotASingularPoint(f"{p} is neither a pole, a zero, nor infinity")
 
 
 def _sigmoid(s: float) -> float:
@@ -281,34 +321,6 @@ def _phi_gradient_residuals(params: MetricParams, z: np.ndarray, h: float = 1e-5
 # ---------------------------------------------------------------------------
 # cone angles
 
-def singular_points(params: MetricParams) -> list[tuple[object, str, float]]:
-    """All marked points: (position, kind, cone-angle coefficient).
-
-    ``kind`` is "pole", "zero" or "infinity"; the coefficient k gives cone
-    angle 2 pi k (poles: |residue|; zeros: order + 1; infinity: |implied
-    residue|).  Smooth points (coefficient 1) are still listed.  They are
-    found once per metric; each call returns a fresh list.
-    """
-    return list(params.marked)
-
-
-def _classify_singular(params: MetricParams, p, match_tol: float = 1e-9):
-    """(kind, residue of omega) at the marked point p; the residue is 0 at a zero."""
-    if p is INFINITY:
-        res_inf = forms.residue_at_infinity(params.form)
-        if res_inf == 0.0:
-            raise NotASingularPoint("infinity is a regular point of this form")
-        return "infinity", res_inf
-    p = complex(p)
-    for spec in params.form.poles:
-        if abs(p - spec.position) <= match_tol:
-            return "pole", spec.residue
-    for q, kind, _ in params.marked:
-        if kind == "zero" and abs(p - q) <= max(match_tol, 1e-7):
-            return "zero", 0.0
-    raise NotASingularPoint(f"{p} is neither a pole, a zero, nor infinity")
-
-
 def vertex_distance(params: MetricParams, p, z) -> np.ndarray:
     """Spherical distance from the marked point p to each point of the complex array z.
 
@@ -326,11 +338,16 @@ def vertex_distance(params: MetricParams, p, z) -> np.ndarray:
 
         tan(rho / 2) = m |expm1 L| / |1 + m^2 e^L|.
 
-    Valid while z is nearer to p than every other singular point.
+    Valid while z is nearer to p than every other singular point; at a zero,
+    a is p as given, not the root in its record.
     """
-    kind, residue = _classify_singular(params, p)
+    return _vertex_distance(params, params.mark_at(p), p, z)
+
+
+def _vertex_distance(params: MetricParams, mark: Mark, p, z) -> np.ndarray:
+    """:func:`vertex_distance` from the record of the marked point p."""
     z = np.asarray(z, dtype=complex)
-    if kind == "zero":
+    if mark.kind == "zero":
         a = complex(p)
         m = developing_modulus(params, a)
         log_ratio = sum(q.residue * np.log1p((z - a) / (a - q.position))
@@ -339,7 +356,7 @@ def vertex_distance(params: MetricParams, p, z) -> np.ndarray:
         return 2.0 * np.arctan(np.abs(np.expm1(log_ratio))
                                / np.abs(1.0 / m + m * np.exp(log_ratio)))
     s, _, _ = _evaluate(params, z)
-    return _distance_to_pole(s, residue)
+    return _distance_to_pole(s, mark.residue)
 
 
 def _distance_to_pole(s: np.ndarray, residue: float) -> np.ndarray:
@@ -352,24 +369,25 @@ def cone_angle_estimate(params: MetricParams, p, eps: float = 1e-3, n: int = 102
     """Estimate the cone angle at a marked point by the spherical cone law.
 
     A circle at distance rho from the vertex of a spherical cone of angle
-    theta has length ``theta sin rho``.  The chart circle ``|z - p| = eps``
-    is such a circle only to first order, so the estimate sums
-    ``lambda |dz| / sin rho`` over its ``n`` nodes (trapezoid rule,
-    spectrally accurate for the smooth periodic integrand), ``rho`` being
-    :func:`vertex_distance`.  It gives 2 pi k up to about
-    ``0.26 (eps / d)^2`` relative, ``d`` the chart distance to the nearest
-    other singular point.  For ``p = INFINITY`` the circle is ``|w| = eps``
-    in the w = 1/z chart, where the density is ``lambda / |w|^2``.
+    theta has length ``theta sin rho``.  The chart circle ``|z - v| = eps``
+    around the marked point v at p is such a circle only to first order, so
+    the estimate sums ``lambda |dz| / sin rho`` over its ``n`` nodes
+    (trapezoid rule, spectrally accurate for the smooth periodic integrand),
+    ``rho`` being :func:`vertex_distance`.  It gives 2 pi k up to about
+    ``0.26 (eps / d)^2`` relative, ``d`` the mark's clearance.  For
+    ``p = INFINITY`` the circle is ``|w| = eps`` in the w = 1/z chart, where
+    the density is ``lambda / |w|^2``.
     """
-    return _cone_angle_estimates(params, [(p, eps)], n)[0]
+    return _cone_angle_estimates(params, [(params.mark_at(p), eps)], n)[0]
 
 
 def _cone_angle_estimates(params: MetricParams, contours, n: int = 1024) -> list[float]:
-    """:func:`cone_angle_estimate` at each ``(p, eps)`` of ``contours``.
+    """:func:`cone_angle_estimate` at each ``(mark, eps)`` of ``contours``.
 
     The contours are stacked as one ``(len(contours), n)`` array and go
     through one kernel call; the rest of each estimate is taken row by row,
-    so each is the same float as a one-point call gives.
+    so each is the same float as a one-point call gives.  Raises
+    ``QuadratureNearPole`` where a mark's clearance is below 3 eps.
     """
     for _, eps in contours:
         if not (1e-5 <= eps <= 1e-2):
@@ -377,32 +395,22 @@ def _cone_angle_estimates(params: MetricParams, contours, n: int = 1024) -> list
     if n < 256:
         raise ValueError(f"need at least 256 contour nodes, got {n}")
     unit = np.exp(2j * math.pi / n * np.arange(n))
-    rows, scales, kinds = [], [], []
-    for p, eps in contours:
-        kind, residue = _classify_singular(params, p)
-        circle = eps * unit
-        if kind == "infinity":
-            others = [q for q, _, _ in singular_points(params) if q is not INFINITY]
-            if any(abs(q) > 1.0 / (3.0 * eps) for q in others):
+    rows, scales = [], []
+    for mark, eps in contours:
+        if mark.clearance < 3.0 * eps:
+            if mark.position is INFINITY:
                 raise QuadratureNearPole("a finite singular point crowds the contour at infinity")
-            rows.append(1.0 / circle)
-            scales.append(1.0 / (eps * eps))
-        else:
-            center = complex(p)
-            others = [
-                q for q, _, _ in singular_points(params)
-                if q is not INFINITY and abs(q - center) > 1e-9
-            ]
-            if any(abs(q - center) < 3.0 * eps for q in others):
-                raise QuadratureNearPole(f"another singular point within 3*eps of {center}")
-            rows.append(center + circle)
-            scales.append(1.0)
-        kinds.append((kind, residue))
+            raise QuadratureNearPole(f"another singular point within 3*eps of {mark.position}")
+        circle = eps * unit
+        at_infinity = mark.position is INFINITY
+        rows.append(1.0 / circle if at_infinity else mark.position + circle)
+        scales.append(1.0 / (eps * eps) if at_infinity else 1.0)
     z = np.array(rows)
     s, _, density = _evaluate(params, z)
     out = []
-    for i, ((p, eps), (kind, residue)) in enumerate(zip(contours, kinds)):
-        rho = vertex_distance(params, p, z[i]) if kind == "zero" else _distance_to_pole(s[i], residue)
+    for i, (mark, eps) in enumerate(contours):
+        rho = (_vertex_distance(params, mark, mark.position, z[i]) if mark.kind == "zero"
+               else _distance_to_pole(s[i], mark.residue))
         arc = np.sqrt(density[i]) / np.sin(rho)
         out.append(float(scales[i] * eps * 2.0 * math.pi / n * np.sum(arc)))
     return out

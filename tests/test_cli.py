@@ -281,6 +281,28 @@ def test_non_finite_config_file_number_exits_2(capsys, tmp_path):
     assert captured.err.startswith("invalid configuration: curvature_tol must be finite")
 
 
+@pytest.mark.parametrize("command", ["sample", "plot"])
+@pytest.mark.parametrize("grid", ["-inf,3,-3,3,5,5", "-3,3,-3,inf,5,5", "nan,3,-3,3,5,5",
+                                  "-1e308,1e308,-3,3,5,5", "-3,3,-1e308,1e308,5,5"])
+@pytest.mark.parametrize("by_file", [False, True], ids=["flag", "config"])
+def test_non_finite_grid_bounds_or_spans_exit_2(capsys, tmp_path, command, grid, by_file):
+    # an infinite bound, or finite bounds whose span overflows, would put
+    # nan or inf in the CSV and the SVG
+    out = tmp_path / "out"
+    argv = [command, "--family=heart", f"--out={out}"]
+    if by_file:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": grid}))
+        argv.append(f"--config={config}")
+    else:
+        argv.append(f"--grid={grid}")
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid configuration: grid bounds and spans must be finite")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--pbeta=nan+0i", "--pbeta=inf+0i", "--pbeta=0.3-infi",
                                   "--palpha=nan+0.5i", "--pgamma=-inf+0i"])
 def test_non_finite_complex_literals_exit_2(capsys, flag):
@@ -312,7 +334,7 @@ def test_parse_complex_rejects_malformed_literals(text):
 
 def scalar_sample_points(mp, count, seed, box=3.0, clearance=0.05):
     rng = random.Random(seed)
-    singular = [q for q, _, _ in metric.singular_points(mp) if q is not INFINITY]
+    singular = [m.position for m in mp.marked if m.kind != "infinity"]
     out = []
     while len(out) < count:
         z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
@@ -366,7 +388,7 @@ def scalar_checks(cfg):
     for z in scalar_sample_points(mp, 100, seed=13):
         worst = max(worst, scalar_phi_gradient_check(mp, z))
     out["dphi-identity"] = worst
-    singular = [q for q, _, _ in metric.singular_points(mp) if q is not INFINITY]
+    singular = [m.position for m in mp.marked if m.kind != "infinity"]
     g = cfg.grid
     cells = []
     for iy in range(0, g.ny, max(1, g.ny // 24)):
@@ -454,6 +476,16 @@ def test_verify_abort_names_the_check_that_raised(capsys):
                     "--palpha=0.3+0.2i")
     assert code == 1
     assert out == "verification aborted: metric: poles 0 and 1 share position (0.3+0.2j)\n"
+
+
+@pytest.mark.parametrize("flag", ["--palpha=0.3000000001+0.2i", "--pgamma=0.3000000001+0.2i"])
+def test_verify_aborts_on_a_mark_within_1e_9_of_another(capsys, flag):
+    # P_beta's contour would pass within 3 eps of a pole 1e-10 away: each
+    # mark is its own record, however close, so the crowding check sees it
+    code, out = run(capsys, "verify", "--family=threefb", "--special", "--pbeta=0.3+0.2i", flag)
+    assert code == 1
+    assert out == ("verification aborted: cone-angles: another singular point within 3*eps "
+                   "of (0.3+0.2j)\n")
 
 
 def wide_hearts(count):

@@ -240,6 +240,34 @@ def test_trace_validates_inputs():
         trace_radial_preimage(mp, 0.0, 0.5 + 0.5j, n=150)
 
 
+SPECIAL_METRIC = three_football_metric(make_three_football(special_case_angles(), 0.3 + 0.2j,
+                                                           Branch.MINUS, 1.0))
+
+
+@pytest.mark.parametrize("mp,target,match", [
+    # the zero at 1 is a marked point, but not a radial target
+    (SPECIAL_METRIC, 1.0, "not a pole of the form"),
+    (SPECIAL_METRIC, 0.5 + 0.5j, "not a pole of the form"),
+    # the residues cancel, so |F| has a finite limit at infinity
+    (round_fixture(), INFINITY, "finite limit at infinity"),
+], ids=["zero", "regular-point", "infinity-regular"])
+def test_trace_rejects_a_target_that_is_not_a_pole(mp, target, match):
+    with pytest.raises(TraceDiverged, match=match):
+        trace_radial_preimage(mp, 0.0, target)
+
+
+@pytest.mark.parametrize("mp", [heart_metric(HeartParams(0.5, 0.0)), SPECIAL_METRIC],
+                         ids=["heart-0.5", "special"])
+def test_disc_radii_are_a_fraction_of_the_clearance(mp):
+    finite = [m for m in mp.marked if m.position is not INFINITY]
+    discs = geodesics._discs(mp.marked)
+    assert [(v, k) for v, k, _, _ in discs] == [(m.position, m.pole) for m in finite]
+    for (v, _, others, radius), m in zip(discs, finite):
+        assert radius == geodesics.DISC_FRACTION * m.clearance
+        assert radius == geodesics.DISC_FRACTION * min(abs(w - v) for w in others)
+        assert len(others) == len(finite) - 1
+
+
 def test_trace_stepping_onto_a_pole_diverges():
     # at beta = 0.15 the radial curve launched along -1 runs into the pole at
     # -gamma/beta; the right-hand side's pole guard turns that into a typed error
@@ -270,7 +298,7 @@ def test_correct_returns_the_nearest_pole_distance(mp):
     # from a node in the disc of each pole, in its log chart, to a goal 1e-6
     # from the pole: the chart keeps the offset's digits, z lands within a few
     # ulp, and the nearest pole is the vertex
-    discs = geodesics._discs(mp.form)
+    discs = geodesics._discs(mp.marked)
     for k, p in enumerate(positions):
         node = p + 0.1 * discs[k][3] * cmath.exp(0.3j)
         q = sum(r * cmath.log(node - w) for w, r in zip(positions, residues))

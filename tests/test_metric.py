@@ -60,7 +60,7 @@ def round_fixture():
 
 def sample_points(mp, count, seed, clearance=0.05, box=3.0):
     rng = random.Random(seed)
-    singular = [q for q, _, _ in metric.singular_points(mp) if q is not INFINITY]
+    singular = [m.position for m in mp.marked if m.kind != "infinity"]
     out = []
     while len(out) < count:
         z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
@@ -283,18 +283,91 @@ def test_stacked_cone_contours_give_the_one_point_estimates(case):
     # estimate to the bit
     mp, points = case()
     contours = [(p, eps) for (p, _), eps in zip(points, (1e-3, 2e-4, 1e-5, 1e-3, 5e-4, 3e-5))]
-    stacked = metric._cone_angle_estimates(mp, contours, n=512)
+    stacked = metric._cone_angle_estimates(mp, [(mp.mark_at(p), eps) for p, eps in contours],
+                                           n=512)
     assert stacked == [cone_angle_estimate(mp, p, eps=eps, n=512) for p, eps in contours]
 
 
-def test_singular_points_returns_a_fresh_list():
+def _football_marks(angles, clearances):
+    """The expected records of a three-football metric: (kind, residue, coefficient,
+    pole index, clearance) of P_beta, P_alpha, P_gamma, the zeros at 0 and 1, INFINITY."""
+    a = angles
+    rows = [("pole", -a.beta, a.beta, 0), ("pole", a.alpha + a.beta, a.alpha + a.beta, 1),
+            ("pole", a.gamma, a.gamma, 2), ("zero", 0.0, 2.0, -1), ("zero", 0.0, 2.0, -1),
+            ("infinity", -(a.alpha + a.gamma), a.alpha + a.gamma, -1)]
+    return [row + (d,) for row, d in zip(rows, clearances)]
+
+
+#: the crowded-poles configuration of the CLI tests: two poles 2.3e-3 apart,
+#: the third at |z| ~ 887
+CROWDED_ANGLES = AngleTriple(0.7245642810191482, 0.42651681363642596, 0.42424003566607277)
+CROWDED = make_three_football(CROWDED_ANGLES, complex(1.1960650911833999, -0.5356159447174936),
+                              Branch.MINUS, 3.4310515156189765)
+
+MARK_CASES = [
+    pytest.param(lambda: heart_metric(HeartParams(0.5, 0.0)),
+                 [("pole", 0.5, 0.5, 0, 1.0), ("pole", 0.5, 0.5, 1, 1.0),
+                  ("zero", 0.0, 2.0, -1, 1.0), ("infinity", -1.0, 1.0, -1, 1.0)],
+                 id="heart-0.5"),
+    pytest.param(lambda: three_football_metric(SPECIAL),
+                 _football_marks(special_case_angles(), (
+                     0.08078232063650512, 5.299656884046316, 0.08078232063650512,
+                     0.2893761767298585, 0.7280109889280522, 0.18869146095293904)),
+                 id="special-0.3+0.2i"),
+    pytest.param(lambda: three_football_metric(CROWDED),
+                 _football_marks(CROWDED_ANGLES, (
+                     0.0022732905956029583, 885.639820751023, 0.0022732905956029583,
+                     0.9999999999999701, 0.5681627319167208, 0.001127504393054986)),
+                 id="crowded-poles"),
+]
+
+
+@pytest.mark.parametrize("build,expected", MARK_CASES)
+def test_marked_points_carry_their_cone_data(build, expected):
+    mp = build()
+    assert len(mp.marked) == len(expected)
+    for mark, (kind, residue, coefficient, pole, clearance) in zip(mp.marked, expected):
+        assert (mark.kind, mark.pole) == (kind, pole)
+        assert mark.residue == pytest.approx(residue, abs=1e-15)
+        assert mark.coefficient == pytest.approx(coefficient, abs=1e-15)
+        assert mark.clearance == pytest.approx(clearance, rel=1e-12)
+        if kind == "pole":
+            assert mp.form.poles[pole].position == mark.position
+            assert mp.form.poles[pole].residue == mark.residue
+    assert mp.marked[-1].position is INFINITY
+    assert mp.marked[-1].residue == forms.residue_at_infinity(mp.form)
+    assert mp.marked is mp.marked  # built once per metric
+
+
+@pytest.mark.parametrize("build,expected", MARK_CASES)
+def test_clearance_is_the_nearest_distance(build, expected):
+    # brute force over every pair of finite marks, in the w = 1/z chart at infinity
+    mp = build()
+    finite = [m.position for m in mp.marked if m.position is not INFINITY]
+    for i, mark in enumerate(mp.marked):
+        if mark.position is INFINITY:
+            assert mark.clearance == min(1.0 / abs(q) if q else math.inf for q in finite)
+        else:
+            assert mark.clearance == min(abs(q - mark.position)
+                                         for j, q in enumerate(finite) if j != i)
+
+
+def test_mark_at_keeps_the_matching_rules():
     mp = heart_metric(HeartParams(0.5, 0.0))
-    marked = metric.singular_points(mp)
-    expected = list(marked)
-    assert [kind for _, kind, _ in expected] == ["pole", "pole", "zero", "infinity"]
-    marked.clear()
-    assert metric.singular_points(mp) == expected
-    assert cone_angle_estimate(mp, 0.0) == pytest.approx(4.0 * math.pi, rel=1e-2)
+    pole, _, zero, infinity = mp.marked
+    # a pole within 1e-9, a zero within 1e-7
+    assert mp.mark_at(1.0 + 0.99e-9j) is pole
+    assert mp.mark_at(0.99e-7j) is zero
+    assert mp.mark_at(0.0) is zero
+    assert mp.mark_at(INFINITY) is infinity
+    for p in (1.0 + 1.01e-9j, 1.01e-7j, 0.5 + 0.5j):
+        with pytest.raises(NotASingularPoint):
+            mp.mark_at(p)
+    # residues that sum to 0 leave infinity a regular point
+    round_sphere = round_fixture()
+    assert [m.kind for m in round_sphere.marked] == ["pole", "pole"]
+    with pytest.raises(NotASingularPoint, match="infinity is a regular point"):
+        round_sphere.mark_at(INFINITY)
 
 
 def test_cone_angle_rejects_regular_point():
@@ -508,7 +581,7 @@ def test_csv_matches_scalar_path(mp):
     rows = [line.split(",") for line in buf.getvalue().strip().split("\n")[1:]]
     reference = _scalar_rows(mp, bounds, n, n)
     assert len(rows) == len(reference) == n * n
-    singular = [q for q, _, _ in metric.singular_points(mp) if q is not INFINITY]
+    singular = [m.position for m in mp.marked if m.kind != "infinity"]
     for row, (re, im, z, phi, den, cur) in zip(rows, reference):
         assert (row[0], row[1]) == (re, im)
         got_phi, got_den, got_cur = (float(v) for v in row[2:])

@@ -6,16 +6,16 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def load_identity_sweep():
-    path = os.path.join(ROOT, "tools", "identity_sweep.py")
-    spec = importlib.util.spec_from_file_location("identity_sweep", path)
+def load_tool(name):
+    path = os.path.join(ROOT, "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_identity_sweep_parses_its_arguments():
-    sweep = load_identity_sweep()
+    sweep = load_tool("identity_sweep")
     args = sweep.parse_args(["--parent", "HEAD~1", "--expect", "*/plot/plot.svg",
                              "--expect", "*/verify/stdout:traced-length"])
     assert args.parent == "HEAD~1"
@@ -24,3 +24,23 @@ def test_identity_sweep_parses_its_arguments():
     assert sweep.parse_args(["--parent", "abc123", "--keep", "out"]).keep == "out"
     with pytest.raises(SystemExit):
         sweep.parse_args([])
+
+
+def test_bench_pairs_parses_its_arguments():
+    pairs = load_tool("bench_pairs")
+    args = pairs.parse_args(["--parent", "HEAD~1", "--out", "BENCH_0.json",
+                             "--run", "verify-sweep:1", "--run", "verify-sweep:7919",
+                             "--pairs", "5", "--role", "confirm"])
+    assert (args.parent, args.change, args.out) == ("HEAD~1", "HEAD", "BENCH_0.json")
+    assert args.run == [("verify-sweep", 1), ("verify-sweep", 7919)]
+    assert (args.pairs, args.role) == (5, "confirm")
+    # by default every workload of the benchmark on seed 1, three pairs each
+    args = pairs.parse_args(["--parent", "abc123", "--out", "out.json"])
+    assert args.run == [("verify-sweep", 1), ("grid-sample", 1), ("decompose", 1)]
+    assert args.pairs == 3
+    for bad in ([], ["--parent", "abc123"], ["--out", "out.json"],
+                ["--parent", "abc123", "--out", "out.json", "--run", "decompose"],
+                ["--parent", "abc123", "--out", "out.json", "--run", "decompose:x"],
+                ["--parent", "abc123", "--out", "out.json", "--pairs", "0"]):
+        with pytest.raises(SystemExit):
+            pairs.parse_args(bad)
