@@ -91,17 +91,21 @@ class RunConfig:
         """
         if self.family == "heart":
             return families.heart_metric(self.heart)
-        p_alpha, p_gamma = families.solve_pole_positions(self.angles, self.p_beta, self.branch)
-        if self.p_alpha_override is not None:
-            p_alpha = self.p_alpha_override
-        if self.p_gamma_override is not None:
-            p_gamma = self.p_gamma_override
+        tf = self.football()
         form = forms.make_form([
-            (self.p_beta, -self.angles.beta),
-            (p_alpha, self.angles.alpha + self.angles.beta),
-            (p_gamma, self.angles.gamma),
+            (tf.p_beta, -self.angles.beta),
+            (tf.p_alpha, self.angles.alpha + self.angles.beta),
+            (tf.p_gamma, self.angles.gamma),
         ])
-        return MetricParams(form, 2.0 * math.log(self.c_amp))
+        return MetricParams(form, tf.c_log)
+
+    def football(self) -> families.ThreeFootballParams:
+        """The football at P_beta with the solved companions, or their overrides."""
+        p_alpha, p_gamma = families.solve_pole_positions(self.angles, self.p_beta, self.branch)
+        return families.ThreeFootballParams(
+            self.angles, self.p_beta, self.branch, self.c_amp,
+            p_alpha if self.p_alpha_override is None else self.p_alpha_override,
+            p_gamma if self.p_gamma_override is None else self.p_gamma_override)
 
 
 def parse_complex(text: str) -> complex:
@@ -400,9 +404,7 @@ def cmd_report(cfg: RunConfig) -> int:
             }
             print(json.dumps(payload))
         else:
-            tf = families.make_three_football(cfg.angles, cfg.p_beta, cfg.branch, cfg.c_amp)
-            report = geodesics.decomposition_report(tf)
-            print(report.to_json())
+            print(geodesics.decomposition_report(cfg.football()).to_json())
     except ConeMetricError as exc:
         print(json.dumps({"error": str(exc)}))
         return 1

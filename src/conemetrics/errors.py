@@ -78,7 +78,7 @@ class QuadratureNearPole(ConeMetricError):
 # geodesics
 
 class TraceDiverged(ConeMetricError):
-    """A radial trace has no target, steps onto another pole, escapes or stalls."""
+    """A radial trace has no target, arrives at another marked point first, or stalls."""
 
 
 class EndpointNotReached(ConeMetricError):

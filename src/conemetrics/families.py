@@ -262,11 +262,13 @@ def solve_pole_positions(angles: AngleTriple, p_beta: complex,
     al, be, ga = angles.alpha, angles.beta, angles.gamma
 
     a, b, c = derive_pole_quadratic(angles, p_beta)
+    disc = b * b - 4.0 * a * c
+    if not cmath.isfinite(disc):
+        raise DegenerateQuadratic(f"the pole quadratic ({a}, {b}, {c}) overflows")
     scale = max(abs(a), abs(b), abs(c))
     if abs(a) <= 1e-12 * scale:
         raise DegenerateQuadratic(f"leading coefficient {a} is negligible against {scale}")
-    disc = b * b - 4.0 * a * c
-    if abs(disc) <= 1e-12 * (abs(b) ** 2 + 4.0 * abs(a) * abs(c)):
+    if abs(disc) <= 1e-12 * (abs(b) * abs(b) + 4.0 * abs(a) * abs(c)):
         raise DoubleRoot(f"discriminant {disc} is numerically zero")
 
     s = _continued_sqrt_discriminant(angles, p_beta, disc)
@@ -285,6 +287,8 @@ def solve_pole_positions(angles: AngleTriple, p_beta: complex,
                 "gamma P_beta vanished while eliminating P_alpha; try the other branch")
         raise DivisionByZero("beta P_gamma - gamma P_beta vanished while eliminating P_alpha")
     p_alpha = (al + be) * p_beta * p_gamma / denom
+    if not (cmath.isfinite(p_alpha) and cmath.isfinite(p_gamma)):
+        raise DegenerateQuadratic(f"the pole positions ({p_alpha}, {p_gamma}) are not finite")
 
     _check_distinct((0.0, 1.0, p_alpha, p_beta, p_gamma))
     r0, r1 = constraint_residual(angles, p_alpha, p_beta, p_gamma)

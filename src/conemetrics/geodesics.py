@@ -34,8 +34,8 @@ linear in u; at a simple zero a, log(log F - log F(a)) is nearly 2u.  A
 step in z moves at most a quarter of |z - v|, about ten steps per decade of
 |z - v|; a step in u may move a quarter of log(d / |z - v|) or more, which
 grows toward the cone, so a path that leaves a cone at ``LAUNCH_OFFSET`` or
-ends ``ARRIVAL_RADIUS`` from one takes a few steps per decade there.  The
-tests on z (arrival, poles to avoid, escape) are the same in every chart.
+ends ``ARRIVAL_RADIUS`` from one takes a few steps per decade there.  A
+path ends in the first arrival ball it enters, of a marked point or infinity.
 """
 
 from __future__ import annotations
@@ -166,13 +166,9 @@ def three_football_lengths(params: MetricParams) -> tuple[float, float]:
 # Newton continuation of log F, in the z chart and in log charts at the cones
 
 class _Stopped(Exception):
-    """The continuation stopped short of arrival; ``args`` is ``(reason, z)``.
-
-    ``reason`` is "undefined" (the target has no value at the next step),
-    "pole" (z came within the avoid radius of a pole), "escaped" (z left the
-    escape radius), "stalled" (the step fell below ``_MIN_STEP``, or
-    ``_MAX_STEPS`` steps were taken) or "span" (the parameter ran out).
-    """
+    """The continuation stopped before it reached a mark; ``args`` is ``(reason, z)``:
+    "undefined" (the target has no value at the next step), "stalled" (the step fell
+    below ``_MIN_STEP``, or ``_MAX_STEPS`` steps were taken) or "span" (s ran out)."""
 
 
 def _discs(marked):
@@ -335,7 +331,7 @@ def _correct(positions, signed, chart, x: complex, q: complex, x_new: complex, t
 
 
 def _continue(params: MetricParams, sign: float, z0: complex, q0: complex, start, advance,
-              ds: float | None, s_max: float, gap, avoid, avoid_radius: float, escape: float):
+              ds: float | None, s_max: float, target, radius: float):
     """Follow the solution of Q(z) = target(s) from z0 at s = 0 by Newton continuation.
 
     Q = sign log F = sign (c/2 + sum_k r_k log(z - p_k)) is carried from node
@@ -364,16 +360,21 @@ def _continue(params: MetricParams, sign: float, z0: complex, q0: complex, start
     pole, through the log at a zero (:func:`_zero_chart_step`).  ``ds=None``
     starts a unit-speed target (|dtarget/ds| = 1) at that 80% step.
 
-    Returns ``(s_end, nodes)`` once ``gap(z) <= 0``, with s_end where the gap
-    vanishes (:func:`_arrival`).  Raises :class:`_Stopped` when z comes within
-    ``avoid_radius`` of a position in ``avoid``, a subset of the poles, leaves
-    ``|z| <= escape``, or stalls, or when s reaches ``s_max`` first.  The
-    tests on z are the same in every chart.
+    Returns ``(mark, nodes, arrival)`` at the first step into the ball of a
+    record of ``params.marked``: of ``radius`` around ``target`` (its gap is
+    |z - v| - radius, or 1/radius - |z| at INFINITY), of ``ARRIVAL_RADIUS``
+    around the others, by :func:`_correct`'s distance at a pole, in the disc
+    at a zero, in w = 1/z at INFINITY; ``arrival()`` locates the s where the
+    gap vanishes (:func:`_arrival`).  Raises :class:`_Stopped` on a stall, an
+    undefined target, or when s reaches ``s_max`` first.
     """
     form = params.form
     positions = form.positions
     signed = tuple(sign * r for r in form.residues)
-    discs = _discs(params.marked)
+    marked = params.marked
+    discs = _discs(marked)
+    v, limit = target.position, 1.0 / radius
+    gap = (lambda z: limit - abs(z)) if v is INFINITY else (lambda z: abs(z - v) - radius)
     f = sum(r / (z0 - p) for p, r in zip(positions, signed))
     chart, x, slope, reach = _chart_at(discs, positions, signed, z0, q0, f)
     s, z, q = 0.0, z0, q0
@@ -403,13 +404,17 @@ def _continue(params: MetricParams, sign: float, z0: complex, q0: complex, start
             ds *= 0.5
             continue
         x_new, z_new, q_new, slope_new, nearest = step
-        if nearest < avoid_radius and min((abs(z_new - p) for p in avoid),
-                                          default=math.inf) < avoid_radius:
-            raise _Stopped("pole", z_new)
-        if abs(z_new) > escape:
-            raise _Stopped("escaped", z_new)
+        reached = None
         if gap(z_new) <= 0.0:
-            return _arrival(positions, signed, node, s_new, advance, gap), nodes
+            reached = target
+        elif nearest < ARRIVAL_RADIUS:
+            reached = marked[min(range(len(positions)), key=lambda k: abs(z_new - positions[k]))]
+        elif abs(z_new) * ARRIVAL_RADIUS >= 1.0 and marked[-1].position is INFINITY:
+            reached = marked[-1]
+        elif chart is not None and chart.qv is not None and abs(z_new - chart.v) < ARRIVAL_RADIUS:
+            reached = next(m for m in marked if m.position == chart.v)
+        if reached is not None:
+            return reached, nodes, lambda: _arrival(positions, signed, node, s_new, advance, gap)
         if s_new == s_max:
             raise _Stopped("span", z_new)
         moved = abs(x_new - x)
@@ -641,13 +646,13 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
     ``plot`` draws: a chord with ceil(log2(chord / bound)) = k <= 3 needs k
     levels in 84-96% of cases, and the offset keeps the lift calls of a
     trace's samples at five or fewer.
-    Tracing starts at chart offset ``LAUNCH_OFFSET`` from ``a`` and stops at
-    ``ARRIVAL_RADIUS`` from ``b`` (or once ``|z| = clip_radius``, if given,
-    else 2e6, for INFINITY).  Both cone stubs are closed-form vertex
-    distances (:func:`~conemetrics.metric.vertex_distance`), included in
-    ``length``.  Raises :class:`TraceDiverged` when b is not a pole or marked
-    INFINITY, or the trace comes within 1e-11 of another pole, leaves
-    ``|z| <= 1e3`` toward a finite pole, or stalls, and
+    Tracing starts at chart offset ``LAUNCH_OFFSET`` from ``a`` and stops in
+    the first arrival ball of a marked point (:func:`_continue`), of radius
+    ``ARRIVAL_RADIUS``, or ``|z| >= min(clip_radius, 2e6)`` at INFINITY.  Both
+    cone stubs are closed-form vertex distances
+    (:func:`~conemetrics.metric.vertex_distance`), included in ``length``.
+    Raises :class:`TraceDiverged` when b is not a pole or marked INFINITY,
+    when the trace reaches another mark first, or stalls, and
     :class:`EndpointNotReached` when tau runs 200 without arrival.
     """
     if n < 100:
@@ -664,19 +669,8 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
                             if b is INFINITY else f"target {complex(b)} is not a pole of the form")
     # |F| grows toward a vertex where omega has a negative residue
     increasing = mark_b.residue < 0.0
-    avoid = tuple(p for k, p in enumerate(form.positions) if k != mark_b.pole)
-    escape = math.inf if b is INFINITY else 1.0e3
-    if b is INFINITY:
-        limit = clip_radius if clip_radius is not None else 2.0e6
-
-        def gap(z: complex) -> float:
-            return limit - abs(z)
-    else:
-        b = complex(b)
-
-        def gap(z: complex) -> float:
-            return abs(z - b) - ARRIVAL_RADIUS
-
+    radius = ARRIVAL_RADIUS if b is not INFINITY or clip_radius is None else 1.0 / clip_radius
+    b = b if b is INFINITY else complex(b)
     u_hat = _default_launch(params, a, b, increasing) if launch_dir is None \
         else complex(launch_dir) / abs(complex(launch_dir))
     z_start = a + LAUNCH_OFFSET * u_hat
@@ -688,18 +682,16 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
 
     q0 = complex(tau0, 0.0)
     try:
-        s_end, nodes = _continue(params, 1.0, z_start, q0, (q0, None), advance, None, 200.0,
-                                 gap, avoid, 1e-11, escape)
+        mark, nodes, arrival = _continue(params, 1.0, z_start, q0, (q0, None), advance, None,
+                                         200.0, mark_b, radius)
     except _Stopped as stop:
         reason, z = stop.args
-        if reason == "pole":
-            dist = min(abs(z - p) for p in avoid)
-            raise TraceDiverged(f"trace stepped onto a pole: {z} is within {dist:.2e} of a pole")
         if reason == "span":
             raise EndpointNotReached(f"trace from {a} never reached {b}")
-        if reason == "escaped":
-            raise TraceDiverged("radial trace left the admissible region")
         raise TraceDiverged(f"radial trace stalled at {z}")
+    if mark is not mark_b:
+        raise TraceDiverged(f"radial trace arrived at {mark.position} ({mark.kind}) first")
+    s_end = arrival()
 
     lift = _node_lift(nodes, form.positions, form.residues,
                       lambda s, k: tau0 + direction * s)
@@ -771,8 +763,7 @@ def _lift_to_sphere(w: complex) -> tuple[float, float, float]:
     return 2.0 * w.real / d, 2.0 * w.imag / d, (d - 2.0) / d
 
 
-def _arc_preimage(params: MetricParams, z0: complex, phi: float,
-                  mod_target: float, stop_center: complex, stop_radius: float):
+def _arc_preimage(params: MetricParams, z0: complex, phi: float, mod_target: float, target):
     """Lift the great-circle arc from F(z0) to mod_target e^{i phi} back to the chart.
 
     The starting branch is fixed by taking F(z0) positive real; the arc w(s),
@@ -784,13 +775,13 @@ def _arc_preimage(params: MetricParams, z0: complex, phi: float,
     w -> 1/w is a rotation of the sphere, so it is the same curve, while near
     infinity the projection factor 1 - w_z would cancel most of its digits.
 
-    Returns ``(s_end, lift)`` once z enters the ``stop_radius`` ball around
-    ``stop_center``: ``s_end`` is the arc parameter at the ball's boundary,
-    and ``lift`` maps an array of s in [0, s_end] to the chart points, each
-    found by Newton from the nearest step node at or below it.  Returns None
-    when the arc is degenerate or runs over a projection pole, or when its
-    preimage comes within 1e-9 of a pole, leaves ``|z| <= 1e3``, stalls
-    (``ds < 1e-14``, or 20 000 steps), or reaches s = 1 outside the ball.
+    Returns ``(arrival, lift)`` once z enters the ``ARC_ARRIVAL_RADIUS`` ball
+    around the mark ``target``: ``arrival()`` locates the arc parameter s_end
+    at the ball's boundary, and ``lift`` maps an array of s in [0, s_end] to
+    the chart points, each found by Newton from the nearest step node at or
+    below it.  Returns None when the arc is degenerate or runs over a
+    projection pole, or when its preimage reaches another mark first
+    (:func:`_continue`), stalls, or reaches s = 1 outside every ball.
     """
     form = params.form
     mod_start = developing_modulus(params, z0)
@@ -824,10 +815,11 @@ def _arc_preimage(params: MetricParams, z0: complex, phi: float,
         return None
     q0 = complex(math.log(mod_start), 0.0)
     try:
-        s_end, nodes = _continue(params, sign, z0, q0, (q0, w0), advance, 1.0 / 64.0, 1.0,
-                                 lambda z: abs(z - stop_center) - stop_radius,
-                                 form.positions, 1e-9, 1e3)
+        mark, nodes, arrival = _continue(params, sign, z0, q0, (q0, w0), advance, 1.0 / 64.0,
+                                         1.0, target, ARC_ARRIVAL_RADIUS)
     except _Stopped:
+        return None
+    if mark is not target:
         return None
 
     @cache
@@ -842,7 +834,7 @@ def _arc_preimage(params: MetricParams, z0: complex, phi: float,
         return node_t[k] + np.log(w / node_w[k])
 
     signed = tuple(sign * r for r in form.residues)
-    return s_end, _node_lift(nodes, form.positions, signed, targets)
+    return arrival, _node_lift(nodes, form.positions, signed, targets)
 
 # ---------------------------------------------------------------------------
 # the decomposition report
@@ -904,15 +896,16 @@ def l01_side(params: MetricParams) -> tuple[float, float, complex]:
     start different paths of each class.  The classes with every n_k in
     {-1, 0, 1}, from all four launch points, are tried shortest first; one is
     realized when its developed arc, with the phase taken from the launch
-    point, lifts from there into the ARC_ARRIVAL_RADIUS ball around 1 without
-    meeting a cone (:func:`_arc_preimage`).  Returns ``(L01, phi, z0)`` of
+    point, lifts from there into the ARC_ARRIVAL_RADIUS ball around 1 before
+    any other mark's (:func:`_arc_preimage`).  Returns ``(L01, phi, z0)`` of
     the first that lifts, and raises :class:`EndpointNotReached` when none
     does.  ``L01`` and ``phi`` are taken at the vertex, so they do not depend
     on the sheet that realizes the class.
     """
     mod1 = developing_modulus(params, 1.0)
+    one = params.mark_at(1.0)
     for length, phi, z0, phi_lift in _l01_candidates(params):
-        if _arc_preimage(params, z0, phi_lift, mod1, 1.0 + 0.0j, ARC_ARRIVAL_RADIUS) is not None:
+        if _arc_preimage(params, z0, phi_lift, mod1, one) is not None:
             return length, phi, z0
     raise EndpointNotReached(
         f"no developed 0-1 arc lifts from the launch points {LAUNCH_POINTS} into the "

@@ -488,6 +488,40 @@ def test_verify_aborts_on_a_mark_within_1e_9_of_another(capsys, flag):
                    "of (0.3+0.2j)\n")
 
 
+@pytest.mark.parametrize("flag", ["--palpha=5+5i", "--pgamma=5+5i"])
+def test_report_refuses_a_corrupted_override(capsys, flag):
+    # report builds its triple with the override, and the football's form
+    # refuses a triple that misses the zero placement
+    code, out = run(capsys, "report", "--family=threefb", "--special", "--pbeta=0.3+0.2i", flag)
+    assert code == 1
+    assert json.loads(out)["error"].startswith("pole triple misses the zero placement")
+
+
+def test_report_with_the_solved_companions_is_the_plain_report(capsys):
+    p_beta = complex(-0.5, 0.2)
+    p_alpha, p_gamma = families.solve_pole_positions(
+        families.special_case_angles(), p_beta, families.Branch.MINUS)
+    common = ["report", "--family", "threefb", "--special", "--pbeta", literal(p_beta)]
+    code, plain = run(capsys, *common)
+    assert code == 0
+    code, out = run(capsys, *common, "--palpha", literal(p_alpha), "--pgamma", literal(p_gamma))
+    assert code == 0
+    assert out == plain
+
+
+@pytest.mark.parametrize("alpha", ["1e150", "1e200"])
+@pytest.mark.parametrize("command", ["verify", "report", "sample", "plot"])
+def test_overflowing_pole_quadratic_exits_1(capsys, tmp_path, command, alpha):
+    # the quadratic's coefficients grow as alpha^2: at 1e150 its discriminant
+    # overflows, at 1e200 the coefficients themselves
+    code = cli.main([command, "--family=threefb", "--special", "--pbeta=0.3+0.2i",
+                     f"--alpha={alpha}", f"--out={tmp_path}"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "the pole quadratic" in out + err
+    assert "Traceback" not in err
+
+
 def wide_hearts(count):
     """The first ``count`` hearts of random.Random(20261019), beta in (0.005, 0.995)
     and c in (-20, 20); all of the first 400 pass verify."""

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -270,10 +271,43 @@ def test_disc_radii_are_a_fraction_of_the_clearance(mp):
 
 def test_trace_stepping_onto_a_pole_diverges():
     # at beta = 0.15 the radial curve launched along -1 runs into the pole at
-    # -gamma/beta; the right-hand side's pole guard turns that into a typed error
+    # -gamma/beta, the first mark it reaches; the error names that pole
     mp = heart_metric(HeartParams(0.15, 0.0))
-    with pytest.raises(TraceDiverged, match="stepped onto a pole"):
+    with pytest.raises(TraceDiverged, match=r"arrived at \(-5\.666666666666667\+0j\) \(pole\)"):
         trace_radial_preimage(mp, 0.0, 1.0, launch_dir=-1.0)
+
+
+def test_launches_from_0_toward_a_far_p_alpha_arrive_at_p_gamma():
+    # P_alpha lies far out at 52-21i; both radial curves from 0 that head for
+    # it reach P_gamma first, and the trace stops there and names it
+    mp = football_metric("seeded-4")
+    p_alpha, p_gamma = mp.form.positions[1], mp.form.positions[2]
+    default = geodesics._default_launch(mp, 0.0, p_alpha, False)
+    for u in (default, -default):
+        with pytest.raises(TraceDiverged, match=re.escape(f"arrived at {p_gamma} (pole) first")):
+            trace_radial_preimage(mp, 0.0, p_alpha, launch_dir=u)
+
+
+def count_arrivals(monkeypatch, run):
+    """How often the arrival ball's boundary is located while ``run()`` runs."""
+    original, calls = geodesics._arrival, []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(geodesics, "_arrival", counting)
+    run()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_arrival_is_located_only_where_it_is_read(monkeypatch):
+    # l01_side reads only whether an arc reached 1; a trace reads its s_end
+    p_beta = SPECIAL_METRIC.form.positions[0]
+    assert count_arrivals(monkeypatch, lambda: l01_side(SPECIAL_METRIC)) == 0
+    assert count_arrivals(monkeypatch,
+                          lambda: trace_radial_preimage(SPECIAL_METRIC, 0.0, p_beta)) == 1
 
 
 @pytest.mark.parametrize("mp", [
@@ -791,9 +825,9 @@ def test_l01_agrees_with_arc_prediction(name):
     mp = football_metric(name)
     l01, phi, z0 = l01_side(mp)
     phi_lift = next(c[3] for c in geodesics._l01_candidates(mp) if c[1:3] == (phi, z0))
-    s_end, lift = geodesics._arc_preimage(mp, z0, phi_lift, developing_modulus(mp, 1.0),
-                                          1.0 + 0.0j, geodesics.ARC_ARRIVAL_RADIUS)
-    samples = lift(np.linspace(0.0, s_end, 20001)).tolist()
+    arrival, lift = geodesics._arc_preimage(mp, z0, phi_lift, developing_modulus(mp, 1.0),
+                                            mp.mark_at(1.0))
+    samples = lift(np.linspace(0.0, arrival(), 20001)).tolist()
     assert abs(samples[0] - z0) <= 1e-9
     z_stop = samples[-1]
     total = (float(vertex_distance(mp, 0.0, z0))
@@ -874,18 +908,18 @@ def test_arc_lift_decisions_match_dop853(name):
     # every path class from every launch point: the continuation realizes
     # exactly the classes the ODE realizes, along the same curve
     mp = football_metric(name)
-    mod1 = developing_modulus(mp, 1.0)
+    mod1, one = developing_modulus(mp, 1.0), mp.mark_at(1.0)
     candidates = geodesics._l01_candidates(mp)
     assert {c[2] for c in candidates} == set(geodesics.LAUNCH_POINTS)
     realized = 0
     for _, _, z0, phi in candidates:
-        new = geodesics._arc_preimage(mp, z0, phi, mod1, 1.0 + 0.0j, geodesics.ARC_ARRIVAL_RADIUS)
+        new = geodesics._arc_preimage(mp, z0, phi, mod1, one)
         old = dop853_arc_preimage(mp, z0, phi, mod1, 1.0 + 0.0j, geodesics.ARC_ARRIVAL_RADIUS)
         assert (new is None) == (old is None), (phi, z0)
         if new is None:
             continue
         realized += 1
-        s = np.linspace(0.0, 0.999 * min(new[0], old[0]), 201)
+        s = np.linspace(0.0, 0.999 * min(new[0](), old[0]), 201)
         xo, yo = old[1](s)
         assert np.max(np.abs(new[1](s) - (xo + 1j * yo))) <= 1e-6, (phi, z0)
     assert realized
@@ -961,13 +995,14 @@ def test_l01_side_matches_a_graph_distance_oracle(name):
 # the log charts at the cones: fewer nodes, the parent's arrival points
 
 def continued_node_counts(monkeypatch, run):
-    """The node counts of every continuation that arrives while ``run()`` runs."""
+    """The node counts of every continuation that arrives at its target while ``run()`` runs."""
     original, counts = geodesics._continue, []
 
     def counting(*args):
-        s_end, nodes = original(*args)
-        counts.append(len(nodes))
-        return s_end, nodes
+        mark, nodes, arrival = original(*args)
+        if mark is args[8]:
+            counts.append(len(nodes))
+        return mark, nodes, arrival
 
     monkeypatch.setattr(geodesics, "_continue", counting)
     run()
@@ -1017,8 +1052,9 @@ def arc_arrival(angles, p_beta):
     mp = three_football_metric(make_three_football(angles, p_beta, Branch.MINUS, 1.0))
     _, phi, z0 = l01_side(mp)
     phi_lift = next(c[3] for c in geodesics._l01_candidates(mp) if c[1:3] == (phi, z0))
-    s_end, lift = geodesics._arc_preimage(mp, z0, phi_lift, developing_modulus(mp, 1.0),
-                                          1.0 + 0.0j, geodesics.ARC_ARRIVAL_RADIUS)
+    arrival, lift = geodesics._arc_preimage(mp, z0, phi_lift, developing_modulus(mp, 1.0),
+                                            mp.mark_at(1.0))
+    s_end = arrival()
     return s_end, complex(lift(np.array([s_end]))[0])
 
 

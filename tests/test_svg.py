@@ -208,9 +208,9 @@ def test_plot_draws_every_geodesic_deterministically(capsys, tmp_path, flags, ma
 
 
 def test_plot_retries_a_pole_geodesic_from_the_opposite_launch(capsys, tmp_path):
-    # toward P_alpha the default launch direction leaves the admissible
-    # region; the opposite direction reaches the pole, so all three pole
-    # geodesics are drawn and only the one toward infinity may be missing
+    # toward P_alpha the default launch direction arrives at P_gamma first;
+    # the opposite direction reaches P_alpha, so all three pole geodesics
+    # are drawn and only the one toward infinity may be missing
     flags = ["--family", "threefb", "--alpha", "1.6530364103257704",
              "--beta", "1.697576937884984", "--gamma", "1.4433167321470777",
              "--pbeta", "-0.3601908442462445+0.6789392050808414i", "--branch", "minus",
@@ -224,8 +224,8 @@ def test_plot_retries_a_pole_geodesic_from_the_opposite_launch(capsys, tmp_path)
 
 def test_plot_draws_a_pole_geodesic_from_the_zero_at_1(capsys, tmp_path):
     # no radial geodesic from 0 reaches P_alpha, far out at 52-21i: both
-    # launches from 0 leave the admissible region, and the second launch
-    # from the zero at 1 arrives, so every pole geodesic is drawn
+    # launches from 0 arrive at P_gamma first, and the first launch from
+    # the zero at 1 arrives, so every pole geodesic is drawn
     flags = ["--family", "threefb", "--alpha", "1.262185317773029",
              "--beta", "0.29647508489840785", "--gamma", "0.4115199854069033",
              "--pbeta", "-1.2263597072434105+0.6926186654378874i", "--branch", "minus",

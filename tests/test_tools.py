@@ -44,3 +44,16 @@ def test_bench_pairs_parses_its_arguments():
                 ["--parent", "abc123", "--out", "out.json", "--pairs", "0"]):
         with pytest.raises(SystemExit):
             pairs.parse_args(bad)
+
+
+def test_identity_sweep_draws_a_seeded_wide_box():
+    sweep = load_tool("identity_sweep")
+    assert sweep.parse_args(["--parent", "HEAD~1"]).wide_box == 0
+    assert sweep.parse_args(["--parent", "HEAD~1", "--wide-box", "300"]).wide_box == 300
+    for bad in ("-1", "x", "1.5"):
+        with pytest.raises(SystemExit):
+            sweep.parse_args(["--parent", "HEAD~1", "--wide-box", bad])
+    configs = sweep.wide_box_configs(4)
+    assert configs == sweep.wide_box_configs(4)
+    assert [name for name, _, _ in configs] == ["w000", "w001", "w002", "w003"]
+    assert all(flags[0] == "--family=threefb" for _, flags, _ in configs)

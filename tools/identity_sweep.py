@@ -1,6 +1,7 @@
 """Byte-identity sweep of the CLI between a parent revision and the working tree.
 
     python3 tools/identity_sweep.py --parent HEAD~1 [--expect PATTERN ...] [--keep DIR]
+                                    [--wide-box N]
 
 Run it from anywhere inside the repository.  It ``git archive``s the parent
 revision into a temporary directory and runs ``verify``, ``report``,
@@ -13,15 +14,30 @@ under a key such as ``c017/verify/stdout:traced-length`` or
 ``c017/plot/plot.svg``, with the configuration it names.  Differences whose
 key matches an ``--expect`` glob (fnmatch) are intended; any other makes the
 exit status 1.  ``--keep DIR`` keeps both output trees there.
+
+``--wide-box N`` adds N admissible three-football configurations of the
+wide box (ROADMAP item 8), drawn by ``random.Random(1)``: each angle
+log-uniform in (0.03, 5); ``P_beta`` at a uniform phase, within 0.05 of 1
+(uniform radius) with probability 1/5 and else with ``|P_beta|``
+log-uniform in (0.02, 8); the branch uniform; ``c_amp`` log-uniform in
+(1e-3, 1e3).  A draw that ``make_three_football`` refuses is skipped.
+They are named ``w000``, ``w001``, ...  After the differences the sweep
+prints, for each tree and command, how many configurations exited with each
+code, and for each tree how many configurations each ``verify`` check
+failed on.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
+import collections
 import fnmatch
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tarfile
@@ -70,13 +86,59 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="glob of difference keys that are intended (repeatable)")
     parser.add_argument("--keep", metavar="DIR",
                         help="keep the two output trees in DIR/parent and DIR/change")
+    parser.add_argument("--wide-box", type=_count, default=0, metavar="N",
+                        help="add N seeded three-football configurations of the wide box")
     return parser.parse_args(argv)
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text}")
+    return n
+
+
+def _workloads():
+    """The benchmark's ``workloads`` module, with this checkout's package on the path."""
+    for path in (os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    import workloads
+    return workloads
+
+
+def wide_box_configs(n: int) -> list[tuple[str, list[str], str]]:
+    """``(name, flags, label)`` of the first n admissible wide-box footballs."""
+    Config = _workloads().Config
+    from conemetrics.errors import ConeMetricError
+
+    rng = random.Random(1)
+
+    def log_uniform(lo: float, hi: float) -> float:
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    out = []
+    while len(out) < n:
+        alpha, beta, gamma = (log_uniform(0.03, 5.0) for _ in range(3))
+        phase = complex(0.0, rng.uniform(-math.pi, math.pi))
+        if rng.random() < 0.2:
+            p_beta = 1.0 + rng.uniform(0.0, 0.05) * cmath.exp(phase)
+        else:
+            p_beta = log_uniform(0.02, 8.0) * cmath.exp(phase)
+        cfg = Config("threefb", alpha=alpha, beta=beta, gamma=gamma, pbeta=p_beta,
+                     branch=rng.choice(("plus", "minus")), camp=log_uniform(1e-3, 1e3))
+        try:
+            cfg.football()
+        except ConeMetricError:
+            continue
+        out.append((f"w{len(out):03d}", cfg.flags(), cfg.label))
+    return out
 
 
 def sweep_configs() -> list[tuple[str, list[str], str]]:
     """``(name, flags, label)`` of every distinct configuration, in first-seen order."""
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-    from workloads import DECOMPOSE_SET, build_ops
+    workloads = _workloads()
+    DECOMPOSE_SET, build_ops = workloads.DECOMPOSE_SET, workloads.build_ops
 
     seen: dict[tuple[str, ...], str] = {}
     for seed in SEEDS:
@@ -136,9 +198,29 @@ def compare(parent: str, change: str, configs) -> list[tuple[str, str]]:
     return out
 
 
+def census(out: str, configs) -> list[str]:
+    """Exit-code counts per command, and the FAIL counts per ``verify`` check, of one tree."""
+    lines = []
+    fails: collections.Counter = collections.Counter()
+    for command in COMMANDS:
+        codes: collections.Counter = collections.Counter()
+        for name, _, _ in configs:
+            where = os.path.join(out, name, command)
+            codes[_read(os.path.join(where, "exit")).decode().strip()] += 1
+            if command == "verify":
+                for line in _read(os.path.join(where, "stdout")).decode().splitlines():
+                    if line.endswith(" FAIL"):
+                        fails[line.split(":", 1)[0]] += 1
+        lines.append(f"{command}: " + ", ".join(f"exit {code} x {n}"
+                                                for code, n in sorted(codes.items())))
+    lines.append("verify FAIL: " + (", ".join(f"{check} x {n}" for check, n in sorted(fails.items()))
+                                    or "none"))
+    return lines
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
-    configs = sweep_configs()
+    configs = sweep_configs() + wide_box_configs(args.wide_box)
     with tempfile.TemporaryDirectory(prefix="identity-sweep-") as tmp:
         base = args.keep or tmp
         configs_file = os.path.join(tmp, "configs.json")
@@ -149,6 +231,8 @@ def main(argv=None) -> int:
         run_tree(os.path.join(tree, "src"), os.path.join(base, "parent"), configs_file)
         run_tree(os.path.join(ROOT, "src"), os.path.join(base, "change"), configs_file)
         diffs = compare(os.path.join(base, "parent"), os.path.join(base, "change"), configs)
+        censuses = {tree: census(os.path.join(base, tree), configs)
+                    for tree in ("parent", "change")}
     labels = {name: label for name, _, label in configs}
     unexpected = 0
     for key, detail in diffs:
@@ -156,6 +240,9 @@ def main(argv=None) -> int:
         unexpected += not expected
         print(f"{'expected' if expected else 'DIFFERS'} {key} [{labels[key.split('/')[0]]}]")
         print(f"    {detail}")
+    for tree, lines in censuses.items():
+        for line in lines:
+            print(f"{tree} {line}")
     print(f"{len(configs)} configurations x {len(COMMANDS)} commands: {len(diffs)} differences, "
           f"{unexpected} unexpected")
     return 1 if unexpected else 0
