@@ -456,19 +456,6 @@ def _pole_launches(mp: MetricParams, start: float, pole: complex) -> list:
     return [(start, None), (start, -geodesics._default_launch(mp, start, pole, increasing))]
 
 
-def _log_modulus(mp: MetricParams, z: np.ndarray) -> np.ndarray:
-    """log|F| = c/2 + sum_k r_k log|z - p_k| over a complex array.
-
-    nan only where |F| is 0 or infinite: unlike the metric kernel, no
-    ``POLE_GUARD`` mask, since the level sets may pass right by a pole.
-    """
-    form = mp.form
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = 0.5 * mp.c_log + sum(
-            r * np.log(np.abs(z - p)) for p, r in zip(form.positions, form.residues))
-    return np.where(np.isfinite(out), out, np.nan)
-
-
 def cmd_plot(cfg: RunConfig) -> int:
     mp = cfg.metric_params()
     g = cfg.grid
@@ -479,10 +466,11 @@ def cmd_plot(cfg: RunConfig) -> int:
     nodes = np.empty((g.ny, g.nx), dtype=complex)
     nodes.real = xs
     nodes.imag = np.array(ys)[:, None]
-    # the anchor through the same expression, so that a node at 0 lies on level 0 exactly
-    anchor = float(_log_modulus(mp, np.zeros(1, dtype=complex))[0])
+    # log|F| = s / 2, with no pole mask; the anchor through the same call, so
+    # that a node at 0 lies on level 0 exactly
+    anchor = 0.5 * float(metric._evaluate(mp, np.zeros(1, dtype=complex), guard=0.0)[0][0])
     levels = [anchor + k * math.log(2.0) for k in range(-3, 4)]
-    svg.add_level_sets(canvas, _log_modulus(mp, nodes), xs, ys, levels)
+    svg.add_level_sets(canvas, 0.5 * metric._evaluate(mp, nodes, guard=0.0)[0], xs, ys, levels)
 
     if cfg.family == "heart":
         hp = cfg.heart

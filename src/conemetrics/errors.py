@@ -55,10 +55,6 @@ class ConstraintViolated(ConeMetricError):
     """A pole triple does not satisfy the zero-placement constraints."""
 
 
-class ExcludedPoint(ConeMetricError):
-    """Parameter sits on an excluded point of the closed-form family."""
-
-
 # ---------------------------------------------------------------------------
 # metric evaluation diagnostics
 

@@ -44,7 +44,6 @@ from .errors import (
     DegenerateQuadratic,
     DivisionByZero,
     DoubleRoot,
-    ExcludedPoint,
 )
 from .forms import CharacterForm, make_form
 
@@ -137,22 +136,6 @@ class AngleTriple:
 def special_case_angles(alpha: float = 1.0) -> AngleTriple:
     """The symmetric angle choice alpha = gamma, beta = (1 + sqrt 2)/2 * alpha."""
     return AngleTriple(alpha, (1.0 + SQRT2) / 2.0 * alpha, alpha)
-
-
-def special_case_poles(p_beta: complex) -> tuple[complex, complex]:
-    """Closed-form companion poles ((1-2 sqrt2) p, (sqrt2 - 1) p) at the special angles.
-
-    This scaled triple satisfies g(0) = 0 with g(z) proportional to
-    z (z - 2 p_beta): its second simple zero sits at 2 p_beta, so it is the
-    zeros-at-{0,1} configuration seen through the coordinate scaling
-    z -> z / (2 p_beta).  It coincides with
-    :func:`solve_pole_positions` (minus branch) exactly at p_beta = 1/2.
-    """
-    p = complex(p_beta)
-    for bad in (0.0, 1.0, 1.0 / SQRT2):
-        if abs(p - bad) <= COLLISION_TOL:
-            raise ExcludedPoint(f"p_beta = {p} sits on the excluded point {bad}")
-    return (1.0 - 2.0 * SQRT2) * p, (SQRT2 - 1.0) * p
 
 
 def constraint_residual(angles: AngleTriple, p_alpha, p_beta, p_gamma) -> tuple[float, float]:

@@ -13,7 +13,9 @@ the poles with primitive
     potential(z) = sum_k r_k * ln |z - p_k|^2,
 
 which is the single-valued quantity every metric computation downstream
-feeds on.
+feeds on.  The metric kernel (``metric._evaluate``) sums it term by term as
+``2 r ln|z - p|``, so extreme moduli neither overflow nor lose the sign of
+the log.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ import numpy as np
 
 from .errors import DegenerateForm, DuplicatePole, EvalAtPole, ZeroResidue
 
-#: chart distance to a pole within which evaluation refuses to run: the
-#: one-point evaluators raise ``EvalAtPole`` and the array kernels return nan.
+#: chart distance to a pole within which evaluation refuses to run:
+#: ``coefficient_derivative_at`` raises ``EvalAtPole`` and the array kernels
+#: return nan.
 POLE_GUARD = 1e-12
 
 
@@ -127,19 +130,9 @@ def _require_off_poles(form: CharacterForm, z) -> complex:
 
 
 def _coefficient(form: CharacterForm, z):
-    """f(z) at a point already checked by :func:`_require_off_poles`, or over
-    a complex array of points off the poles."""
+    """f(z) = sum_k r_k / (z - p_k) at a point, or over a complex array of
+    points, off the poles."""
     return sum(p.residue / (z - p.position) for p in form.poles)
-
-
-def _potential(form: CharacterForm, z: complex) -> float:
-    """potential(z) at a point already checked by :func:`_require_off_poles`."""
-    return math.fsum(2.0 * p.residue * math.log(abs(z - p.position)) for p in form.poles)
-
-
-def coefficient_at(form: CharacterForm, z) -> complex:
-    """The coefficient function f(z) = sum_k r_k / (z - p_k)."""
-    return _coefficient(form, _require_off_poles(form, z))
 
 
 def coefficient_derivative_at(form: CharacterForm, z) -> complex:
@@ -151,16 +144,6 @@ def coefficient_derivative_at(form: CharacterForm, z) -> complex:
 def residue_at_infinity(form: CharacterForm) -> float:
     """Residue of the implied pole at infinity, ``-sum_k r_k`` (compensated sum)."""
     return -math.fsum(form.residues)
-
-
-def potential_at(form: CharacterForm, z) -> float:
-    """Primitive of omega + conj(omega): sum_k r_k * ln|z - p_k|^2.
-
-    The additive family constant is *not* included here; it lives with the
-    metric parameters.  Each term is computed as ``2 r ln|z-p|`` so extreme
-    moduli neither overflow nor lose the sign of the log.
-    """
-    return _potential(form, _require_off_poles(form, z))
 
 
 def _numerator_coefficients(form: CharacterForm) -> np.ndarray:

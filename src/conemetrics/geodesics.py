@@ -258,56 +258,45 @@ def _predict(chart, q: complex, slope: complex, target: complex) -> complex:
 def _correct(positions, signed, chart, x: complex, q: complex, x_new: complex, target: complex):
     """Newton from the guess x_new toward Q = target, Q carried from the node (x, q).
 
-    x is the coordinate of ``chart`` (:func:`_chart_at`).  In the z chart
-    Q(z') = Q(z) + sum_k r_k log((z' - p_k) / (z - p_k)).  In the log chart
-    of a disc around v each z - p_k is formed as (v - p_k) + e^u, so that no
-    digit of the small offset is lost, and at a pole v the term of v itself
-    is r_v (u' - u), its branch explicit.  At a zero a the Newton step
-    solves log(Q - Q(a)) = log(target - Q(a)).  Returns
-    (x', z', Q(z'), dQ/dx at x', min_k |z' - p_k|), or None if four
+    x is the coordinate of ``chart`` (:func:`_chart_at`).  Each z - p_k is
+    formed as offset + e: in the log chart of a disc around v as
+    (v - p_k) + e^u, so that no digit of the small offset is lost; between
+    the discs as (-p_k) + z, which is z - p_k to the bit.  Then
+    Q(z') = Q(z) + sum_k r_k log((z' - p_k) / (z - p_k)), except that at a
+    pole v the term of v itself is r_v (u' - u), its branch explicit.  At a
+    zero a the Newton step solves log(Q - Q(a)) = log(target - Q(a)).
+    Returns (x', z', Q(z'), dQ/dx at x', min_k |z' - p_k|), or None if four
     corrections do not bring the residual down to a few ulp: of
     max(1, |target|), and of |z'| sum_k |r_k / (z' - p_k)|, the digits
     log(z' - p_k) loses next to a pole.
     """
     scale = max(1.0, abs(target))
     if chart is None:
-        poles = [(p, r, x - p) for p, r in zip(positions, signed)]
-        for attempt in range(5):
-            f = 0j
-            spread = 0.0
-            nearest = math.inf
-            q_new = q
-            for p, r, base in poles:
-                d = x_new - p
-                if d == 0.0:
-                    return None
-                dist = abs(d)
-                if dist < nearest:
-                    nearest = dist
-                term = r / d
-                f += term
-                spread += abs(term)
-                q_new += r * cmath.log(d / base)
-            residual = q_new - target
-            if abs(residual) <= 4.0 * _ULP * (scale + abs(x_new) * spread):
-                return x_new, x_new, q_new, f, nearest
-            if attempt == 4 or f == 0.0:
-                return None
-            x_new -= residual / f
-    v, qv = chart.v, chart.qv
-    e = cmath.exp(x)
-    poles = [(r, offset, offset + e, at_vertex) for r, offset, at_vertex in chart.poles]
+        v = qv = None
+        e = x
+        poles = [(r, -p, False) for p, r in zip(positions, signed)]
+    else:
+        v, qv = chart.v, chart.qv
+        e = cmath.exp(x)
+        poles = chart.poles
+    poles = [(r, offset, offset + e, at_vertex) for r, offset, at_vertex in poles]
     for attempt in range(5):
-        try:
-            e = cmath.exp(x_new)
-        except OverflowError:
-            return None
+        if chart is None:
+            e = z_new = x_new
+        else:
+            try:
+                e = cmath.exp(x_new)
+            except OverflowError:
+                return None
+            z_new = v + e
         f = 0j
         spread = 0.0
         nearest = math.inf
         q_new = q
         for r, offset, base, at_vertex in poles:
             d = offset + e
+            if d == 0.0:
+                return None
             dist = abs(d)
             if dist < nearest:
                 nearest = dist
@@ -315,19 +304,19 @@ def _correct(positions, signed, chart, x: complex, q: complex, x_new: complex, t
             f += term
             spread += abs(term)
             q_new += r * (x_new - x) if at_vertex else r * cmath.log(d / base)
-        z_new = v + e
+        slope = f if chart is None else f * e
         residual = q_new - target
         if abs(residual) <= 4.0 * _ULP * (scale + abs(z_new) * spread):
-            return x_new, z_new, q_new, f * e, nearest
+            return x_new, z_new, q_new, slope, nearest
         if attempt == 4 or f == 0.0:
             return None
         if qv is None:
-            x_new -= residual / (f * e)
+            x_new -= residual / slope
         else:
             g = q_new - qv
             if g == 0.0 or target == qv:
                 return None
-            x_new -= cmath.log(g / (target - qv)) * g / (f * e)
+            x_new -= cmath.log(g / (target - qv)) * g / slope
 
 
 def _continue(params: MetricParams, sign: float, z0: complex, q0: complex, start, advance,

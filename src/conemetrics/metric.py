@@ -19,11 +19,12 @@ layer reads; only the one-point entry points look one up by position
 Every array of points goes through one numpy kernel (``_evaluate``): the
 curvature stencil, the cone-angle contours (all of them in one call, by
 ``_cone_angle_estimates``), the CSV grid, and the scattered points of
-``verify``'s checks.  One of those checks compares the kernel with
-the developing route, whose array form (``_developing_density``) is kept
-apart from the kernel on purpose.  The scalar evaluators ``density_at`` and
-``phi_at`` stay as independent oracles of the kernel; the two agree to
-rounding, not bit for bit.  The Newton continuation of log F in
+``verify``'s checks, and ``plot``'s level sets of log|F| = s / 2.  One of
+those checks compares the kernel with the developing route, whose array
+form (``_developing_density``) is kept apart from the kernel on purpose.
+The scalar logistic route (``density_at`` and ``phi_at`` in
+``tests/oracles.py``) is an independent oracle of the kernel; the two agree
+to rounding, not bit for bit.  The Newton continuation of log F in
 ``geodesics`` runs its own lean loop over the poles.
 
 Around a cone point F is an isometry onto the round sphere, so the distance
@@ -121,40 +122,6 @@ class MetricParams:
         raise NotASingularPoint(f"{p} is neither a pole, a zero, nor infinity")
 
 
-def _sigmoid(s: float) -> float:
-    """Overflow-free logistic 1 / (1 + e^-s)."""
-    if s >= 0.0:
-        return 1.0 / (1.0 + math.exp(-s))
-    t = math.exp(s)
-    return t / (1.0 + t)
-
-
-def log_scale_at(params: MetricParams, z) -> float:
-    """s(z) = potential(z) + c, the log of the squared developing modulus."""
-    return forms.potential_at(params.form, z) + params.c_log
-
-
-def phi_at(params: MetricParams, z) -> float:
-    """Phi(z) = 4 e^s / (1 + e^s), always strictly inside (0, 4).
-
-    Evaluated as ``4 * sigmoid(s)`` so that large positive or negative
-    ``s`` never exponentiates past the float range.
-    """
-    return 4.0 * _sigmoid(log_scale_at(params, z))
-
-
-def density_at(params: MetricParams, z) -> float:
-    """Conformal density lambda^2(z) = Phi (4 - Phi) / 4 * |f(z)|^2."""
-    form = params.form
-    z = forms._require_off_poles(form, z)
-    s = forms._potential(form, z) + params.c_log
-    f = forms._coefficient(form, z)
-    # Phi (4 - Phi) / 4 = 4 sigmoid(s) sigmoid(-s), computed from e^{-|s|}
-    t = math.exp(-abs(s))
-    bell = 4.0 * t / (1.0 + t) ** 2
-    return bell * (f.real * f.real + f.imag * f.imag)
-
-
 def developing_modulus(params: MetricParams, z) -> float:
     """|F(z)| = e^{c/2} * prod_k |z - p_k|^{r_k}, single-valued on the sphere.
 
@@ -182,16 +149,6 @@ def developing_modulus(params: MetricParams, z) -> float:
     return out
 
 
-def density_via_developing(params: MetricParams, z) -> float:
-    """lambda^2 via the developing route 4 |F'|^2 / (1 + |F|^2)^2, at one point.
-
-    A one-point call of :func:`_developing_density`; raises ``EvalAtPole``
-    within ``POLE_GUARD`` of a pole.
-    """
-    z = forms._require_off_poles(params.form, z)
-    return float(_developing_density(params, np.array([z]))[0])
-
-
 def _developing_density(params: MetricParams, z: np.ndarray) -> np.ndarray:
     """lambda^2 via the developing route over a complex array of points off the poles.
 
@@ -210,12 +167,13 @@ def _developing_density(params: MetricParams, z: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(u), 0.0, density)
 
 
-def _evaluate(params: MetricParams, z: np.ndarray):
-    """Vectorised ``phi_at`` and ``density_at`` over a complex array.
+def _evaluate(params: MetricParams, z: np.ndarray, guard: float = POLE_GUARD):
+    """``s``, Phi and lambda^2 over a complex array.
 
-    Returns ``(s, phi, density)``, each nan exactly where the scalar
-    evaluators raise: at non-finite points and within ``POLE_GUARD`` of a
-    pole.
+    Returns ``(s, phi, density)``, each nan at non-finite points and within
+    ``guard`` of a pole.  ``s = c + sum_k 2 r_k log|z - p_k|`` is summed in
+    pole order; ``plot`` reads log|F| = s / 2 with ``guard=0.0``, since its
+    level sets may pass right by a pole.
     """
     potential = np.zeros(z.shape)
     f = np.zeros(z.shape, dtype=complex)
@@ -227,7 +185,7 @@ def _evaluate(params: MetricParams, z: np.ndarray):
             nearest = np.minimum(nearest, r)
             potential += 2.0 * p.residue * np.log(r)
             f += p.residue / d
-        ok = np.isfinite(z) & (nearest > POLE_GUARD)
+        ok = np.isfinite(z) & (nearest > guard)
         s = np.where(ok, potential + params.c_log, np.nan)
         t = np.exp(-np.abs(s))
         phi = np.where(s >= 0.0, 4.0 / (1.0 + t), 4.0 * t / (1.0 + t))
@@ -269,28 +227,6 @@ def curvature_field(params: MetricParams, z, h: float = CURVATURE_STEP) -> np.nd
         dg = np.log1p(t / (1.0 + t) * np.expm1(np.where(centre >= 0.0, -ds, ds)))
         lap = ((dg[0] + dg[1]) + (dg[2] + dg[3])) / (h * h)
         return np.where(usable, lap / density[0], np.nan)
-
-
-def gauss_curvature_fd(params: MetricParams, z, h: float = CURVATURE_STEP) -> float:
-    """Gaussian curvature at one point, by the stencil of :func:`curvature_field`.
-
-    The result should be 1 up to O(h^2) truncation plus rounding wherever
-    the metric is honestly spherical.
-    """
-    z = complex(z)
-    k = float(curvature_field(params, np.array([z]), h)[0])
-    if math.isnan(k):
-        raise StencilHitsSingularity(f"stencil at {z} touched a singular point")
-    return k
-
-
-def phi_gradient_check(params: MetricParams, z, h: float = 1e-5) -> float:
-    """Residual of the defining gradient identity for Phi at one point.
-
-    A one-point call of :func:`_phi_gradient_residuals`.
-    """
-    z = forms._as_finite_complex(z)
-    return float(_phi_gradient_residuals(params, np.array([z]), h)[0])
 
 
 def _phi_gradient_residuals(params: MetricParams, z: np.ndarray, h: float = 1e-5) -> np.ndarray:

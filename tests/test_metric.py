@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from oracles import density_at, log_scale_at, phi_at
+
 from conemetrics import forms, metric
 from conemetrics.errors import (
     EvalAtPole,
@@ -26,12 +28,7 @@ from conemetrics.metric import (
     MetricParams,
     cone_angle_estimate,
     curvature_field,
-    density_at,
-    density_via_developing,
     developing_modulus,
-    gauss_curvature_fd,
-    phi_at,
-    phi_gradient_check,
     write_density_grid_csv,
 )
 
@@ -42,7 +39,7 @@ def heart_density_reference(beta, c, z):
     Direct translation of the closed-form family: numerator exponents
     2(beta-1), 2(gamma-1) and the e^c |z-1|^{2 beta} |z+g/b|^{2 gamma}
     combination downstairs, evaluated with plain powers so it shares no
-    arithmetic with the logistic route in density_at.
+    arithmetic with the kernel's logistic route.
     """
     gamma = 1.0 - beta
     pole = gamma / beta
@@ -72,40 +69,63 @@ def sample_points(mp, count, seed, clearance=0.05, box=3.0):
 SPECIAL = make_three_football(special_case_angles(), 0.3 + 0.2j, Branch.MINUS, 1.0)
 
 
+def kernel(mp, z, guard=forms.POLE_GUARD):
+    """``(s, phi, density)`` of the kernel at the point z, as floats."""
+    return tuple(float(v[0]) for v in metric._evaluate(mp, np.array([z], dtype=complex), guard))
+
+
+def phi(mp, z):
+    return kernel(mp, z)[1]
+
+
+def density(mp, z):
+    return kernel(mp, z)[2]
+
+
+def curvature(mp, z, h=metric.CURVATURE_STEP):
+    """K at the point z from the stencil of ``curvature_field``: nan where the
+    stencil touches a singular point."""
+    return float(curvature_field(mp, np.array([z], dtype=complex), h)[0])
+
+
+def phi_gradient_residual(mp, z, h=1e-5):
+    return float(metric._phi_gradient_residuals(mp, np.array([z], dtype=complex), h)[0])
+
+
 # ---------------------------------------------------------------------------
 # Phi
 
 def test_phi_midpoint_value():
     mp = heart_metric(HeartParams(0.5, 0.0))
     # potential vanishes at the origin, so Phi = 4 e^0/(1+e^0) = 2
-    assert phi_at(mp, 0.0) == pytest.approx(2.0, abs=1e-15)
+    assert phi(mp, 0.0) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_phi_frozen_value_at_i():
     mp = heart_metric(HeartParams(0.5, 0.0))
-    assert phi_at(mp, 1j) == pytest.approx(8.0 / 3.0, rel=1e-14)
+    assert phi(mp, 1j) == pytest.approx(8.0 / 3.0, rel=1e-14)
 
 
 def test_phi_limits_near_poles():
     # Phi -> 0 approaching a positive-residue pole (|F| -> 0 there) and
     # Phi -> 4 approaching a negative-residue pole or the heart's infinity
     mp = heart_metric(HeartParams(0.5, 0.0))
-    assert phi_at(mp, 1.0 + 1e-7) < 1e-3
-    assert phi_at(mp, 1e6) > 4.0 - 1e-3
+    assert phi(mp, 1.0 + 1e-7) < 1e-3
+    assert phi(mp, 1e6) > 4.0 - 1e-3
 
     mp3 = three_football_metric(SPECIAL)
-    assert phi_at(mp3, SPECIAL.p_beta + 1e-7) > 4.0 - 1e-3
+    assert phi(mp3, SPECIAL.p_beta + 1e-7) > 4.0 - 1e-3
 
 
 def test_phi_range_sampled():
     for mp in (heart_metric(HeartParams(0.35, 0.7)), three_football_metric(SPECIAL)):
-        for z in sample_points(mp, 200, seed=2):
-            assert 0.0 < phi_at(mp, z) < 4.0
+        _, values, _ = metric._evaluate(mp, np.array(sample_points(mp, 200, seed=2)))
+        assert np.all((0.0 < values) & (values < 4.0))
 
 
 def test_phi_overflow_safe():
     mp = heart_metric(HeartParams(0.5, 800.0))
-    value = phi_at(mp, 0.3 + 0.1j)
+    value = phi(mp, 0.3 + 0.1j)
     assert 0.0 < value <= 4.0
 
 
@@ -114,38 +134,44 @@ def test_phi_overflow_safe():
 
 def test_density_frozen_value_at_i():
     mp = heart_metric(HeartParams(0.5, 0.0))
-    assert density_at(mp, 1j) == pytest.approx(2.0 / 9.0, rel=1e-14)
-    assert density_via_developing(mp, 1j) == pytest.approx(2.0 / 9.0, rel=1e-14)
+    assert density(mp, 1j) == pytest.approx(2.0 / 9.0, rel=1e-14)
+    developed = metric._developing_density(mp, np.array([1j]))
+    assert float(developed[0]) == pytest.approx(2.0 / 9.0, rel=1e-14)
 
 
 def test_density_vanishes_at_character_zero():
     mp = heart_metric(HeartParams(0.5, 0.0))
-    assert density_at(mp, 0.0) == 0.0
+    assert density(mp, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("beta,c", [(0.6, 0.0), (0.3, -1.0), (0.5, 0.7)])
 def test_density_matches_closed_form(beta, c):
     mp = heart_metric(HeartParams(beta, c))
-    for z in sample_points(mp, 100, seed=8):
-        a = density_at(mp, z)
+    points = sample_points(mp, 100, seed=8)
+    _, _, values = metric._evaluate(mp, np.array(points))
+    for z, a in zip(points, values.tolist()):
         b = heart_density_reference(beta, c, z)
         assert abs(a - b) <= 1e-10 * max(a, b)
 
 
 def test_density_equals_developing_route_both_families():
     for mp in (heart_metric(HeartParams(0.6, 0.3)), three_football_metric(SPECIAL)):
-        for z in sample_points(mp, 300, seed=21):
-            a = density_at(mp, z)
-            b = density_via_developing(mp, z)
-            assert abs(a - b) <= 1e-12 * max(a, b)
+        z = np.array(sample_points(mp, 300, seed=21))
+        _, _, a = metric._evaluate(mp, z)
+        b = metric._developing_density(mp, z)
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(a, b))
 
 
 def test_density_guard_near_pole():
+    # nan within POLE_GUARD of a pole; with guard=0.0 (plot's log|F|) only
+    # on the pole itself
     mp = heart_metric(HeartParams(0.5, 0.0))
-    with pytest.raises(EvalAtPole):
-        density_at(mp, 1.0 + 1e-13)
-    with pytest.raises(EvalAtPole):
-        density_via_developing(mp, -1.0 + 1e-13 * 1j)
+    for z in (1.0 + 1e-13, -1.0 + 1e-13 * 1j):
+        assert all(math.isnan(v) for v in kernel(mp, z))
+        s, _, _ = kernel(mp, z, guard=0.0)
+        assert math.isfinite(s)
+        assert s == pytest.approx(math.log(2e-13), abs=1e-2)
+    assert all(math.isnan(v) for v in kernel(mp, 1.0, guard=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +201,8 @@ def test_developing_modulus_balanced_form_at_infinity():
 
 def test_curvature_round_fixture():
     mp = round_fixture()
-    assert gauss_curvature_fd(mp, 0.3, 1e-4) == pytest.approx(1.0, abs=1e-6)
-    assert gauss_curvature_fd(mp, -0.2 + 0.9j, 1e-4) == pytest.approx(1.0, abs=1e-6)
+    assert curvature(mp, 0.3, 1e-4) == pytest.approx(1.0, abs=1e-6)
+    assert curvature(mp, -0.2 + 0.9j, 1e-4) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_curvature_explicit_round_density_stencil():
@@ -193,12 +219,12 @@ def test_curvature_explicit_round_density_stencil():
 
 def test_curvature_heart():
     mp = heart_metric(HeartParams(0.6, 0.0))
-    assert gauss_curvature_fd(mp, 0.4 + 0.7j, 1e-4) == pytest.approx(1.0, abs=5e-3)
+    assert curvature(mp, 0.4 + 0.7j, 1e-4) == pytest.approx(1.0, abs=5e-3)
 
 
 def test_curvature_three_football():
     mp = three_football_metric(SPECIAL)
-    assert gauss_curvature_fd(mp, 0.45 + 0.9j, 1e-4) == pytest.approx(1.0, abs=5e-3)
+    assert curvature(mp, 0.45 + 0.9j, 1e-4) == pytest.approx(1.0, abs=5e-3)
 
 
 def test_curvature_where_density_is_tiny():
@@ -210,8 +236,8 @@ def test_curvature_where_density_is_tiny():
     for mp, z in ((three_football_metric(SPECIAL), 1.2),
                   (three_football_metric(generic), 1.2),
                   (three_football_metric(generic), 0.2)):
-        assert density_at(mp, z) < 1e-4
-        assert gauss_curvature_fd(mp, z) == pytest.approx(1.0, abs=5e-3)
+        assert density(mp, z) < 1e-4
+        assert curvature(mp, z) == pytest.approx(1.0, abs=5e-3)
 
 
 def test_curvature_field_matches_pointwise_stencil():
@@ -222,7 +248,7 @@ def test_curvature_field_matches_pointwise_stencil():
     assert kappa.shape == z.shape
     assert np.isnan(kappa[1]).all()
     for zz, k in zip(z[0], kappa[0]):
-        assert k == pytest.approx(gauss_curvature_fd(mp, zz), rel=1e-12)
+        assert k == pytest.approx(curvature(mp, zz), rel=1e-12)
         assert k == pytest.approx(1.0, abs=1e-5)
     with pytest.raises(ValueError):
         curvature_field(mp, z, 0.1)
@@ -231,13 +257,11 @@ def test_curvature_field_matches_pointwise_stencil():
 def test_curvature_stencil_guard():
     mp = heart_metric(HeartParams(0.5, 0.0))
     # one stencil arm lands exactly on the pole at 1
-    with pytest.raises(StencilHitsSingularity):
-        gauss_curvature_fd(mp, 1.0 + 1e-4, 1e-4)
+    assert math.isnan(curvature(mp, 1.0 + 1e-4, 1e-4))
     # one arm lands on the character zero, where the log-density diverges
-    with pytest.raises(StencilHitsSingularity):
-        gauss_curvature_fd(mp, 1e-4 + 0.0j, 1e-4)
+    assert math.isnan(curvature(mp, 1e-4 + 0.0j, 1e-4))
     with pytest.raises(ValueError):
-        gauss_curvature_fd(mp, 0.5j, 1.0)
+        curvature(mp, 0.5j, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -396,20 +420,26 @@ def test_cone_angle_validates_arguments():
 
 def test_phi_gradient_identity_heart():
     mp = heart_metric(HeartParams(0.6, 0.0))
-    assert phi_gradient_check(mp, 2.0 + 1.0j, 1e-5) < 1e-6
+    assert phi_gradient_residual(mp, 2.0 + 1.0j, 1e-5) < 1e-6
 
 
 def test_phi_gradient_identity_three_football():
     mp = three_football_metric(SPECIAL)
-    for z in sample_points(mp, 25, seed=31):
-        assert phi_gradient_check(mp, z) < 1e-6
+    residuals = metric._phi_gradient_residuals(mp, np.array(sample_points(mp, 25, seed=31)))
+    assert np.all(residuals < 1e-6)
 
 
 def test_phi_gradient_identity_is_c_independent():
     # the defining relation holds for every member of the c-family
     for c in (0.0, 1.0, -2.5):
         mp = heart_metric(HeartParams(0.6, c))
-        assert phi_gradient_check(mp, 2.0 + 1.0j, 1e-5) < 1e-6
+        assert phi_gradient_residual(mp, 2.0 + 1.0j, 1e-5) < 1e-6
+
+
+def test_phi_gradient_stencil_guard():
+    mp = heart_metric(HeartParams(0.5, 0.0))
+    with pytest.raises(StencilHitsSingularity):
+        phi_gradient_residual(mp, 1.0 + 1e-5, 1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +473,7 @@ def test_csv_grid_deterministic():
 
 def test_csv_values_round_trip_density():
     # the CSV carries the row kernel's values exactly; the kernel agrees with
-    # the scalar density_at only to rounding (test_csv_matches_scalar_path)
+    # the scalar oracle density_at only to rounding (test_csv_matches_scalar_path)
     mp = heart_metric(HeartParams(0.6, 0.0))
     buf = io.StringIO()
     write_density_grid_csv(mp, (0.2, 0.4, 0.2, 0.4), 2, 2, buf)
@@ -549,7 +579,8 @@ def test_csv_kernel_calls_are_bounded_by_the_block(monkeypatch, nx, ny):
 
 
 def _scalar_rows(mp, bounds, nx, ny):
-    """The grid evaluated one point at a time through the scalar API."""
+    """The grid evaluated one point at a time: phi and density by the scalar
+    oracles, K by the stencil at one point."""
     x0, x1, y0, y1 = bounds
     out = []
     for iy in range(ny):
@@ -561,10 +592,7 @@ def _scalar_rows(mp, bounds, nx, ny):
                 phi, den = phi_at(mp, z), density_at(mp, z)
             except EvalAtPole:
                 phi = den = math.nan
-            try:
-                cur = gauss_curvature_fd(mp, z)
-            except StencilHitsSingularity:
-                cur = math.nan
+            cur = curvature(mp, z)
             out.append((f"{x:.17g}", f"{y:.17g}", z, phi, den, cur))
     return out
 
@@ -592,7 +620,7 @@ def test_csv_matches_scalar_path(mp):
             continue
         # lambda^2 is a bell factor times |f|^2, and f is a sum that may
         # cancel: bound the difference by the size of the summands
-        t = math.exp(-abs(metric.log_scale_at(mp, z)))
+        t = math.exp(-abs(log_scale_at(mp, z)))
         bell = 4.0 * t / (1.0 + t) ** 2
         terms = math.fsum(abs(p.residue / (z - p.position)) for p in mp.form.poles)
         assert abs(got_den - den) <= 1e-14 * bell * terms * terms

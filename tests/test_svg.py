@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from conemetrics import cli
+from conemetrics import cli, metric
 from conemetrics.svg import STEP_BOUND_PX, SvgCanvas, _fmt, add_level_sets, level_set_segments
 
 
@@ -93,19 +93,50 @@ def test_level_set_segments_on_a_smooth_field_at_many_levels():
             == expected
 
 
-@pytest.mark.parametrize("flags", [
+PLOT_FLAGS = pytest.mark.parametrize("flags", [
     ["--family", "heart", "--beta", "0.5"],
     ["--family", "threefb", "--special", "--pbeta", "0.3+0.2i"],
 ], ids=["heart-0.5", "special-0.3+0.2i"])
-def test_level_set_segments_match_the_cell_loop_on_the_plot_grids(flags):
-    # the 61 x 61 log |F| grid and the seven levels that plot draws
+
+
+def plot_grid(flags):
+    """The metric, chart axes and 61 x 61 nodes of ``plot`` at ``flags``."""
     cfg = cli.build_config(cli._build_parser().parse_args(["plot", *flags]))
     mp, g = cfg.metric_params(), cfg.grid
     xs = [g.x_min + (g.x_max - g.x_min) * i / (g.nx - 1) for i in range(g.nx)]
     ys = [g.y_min + (g.y_max - g.y_min) * j / (g.ny - 1) for j in range(g.ny)]
-    nodes = np.array([[complex(x, y) for x in xs] for y in ys])
-    values = cli._log_modulus(mp, nodes)
-    anchor = float(cli._log_modulus(mp, np.zeros(1, dtype=complex))[0])
+    return mp, xs, ys, np.array([[complex(x, y) for x in xs] for y in ys])
+
+
+def log_modulus(mp, z):
+    """log|F| = c/2 + sum_k r_k log|z - p_k|, nan where not finite: the expression
+    plot used before it read s / 2 from the metric kernel."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 0.5 * mp.c_log + sum(r * np.log(np.abs(z - p))
+                                   for p, r in zip(mp.form.positions, mp.form.residues))
+    return np.where(np.isfinite(out), out, np.nan)
+
+
+@PLOT_FLAGS
+def test_plot_reads_log_modulus_from_the_kernel_bit_for_bit(flags):
+    # the special grid's node 0.2999...98+0.2i lies 2e-16 from P_beta, inside
+    # POLE_GUARD: only guard=0.0 keeps it
+    mp, _, _, nodes = plot_grid(flags)
+    for z in (nodes, np.zeros(1, dtype=complex)):
+        got = 0.5 * metric._evaluate(mp, z, guard=0.0)[0]
+        expected = log_modulus(mp, z)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+    kept = np.isnan(metric._evaluate(mp, nodes)[0]) & ~np.isnan(log_modulus(mp, nodes))
+    assert kept.sum() == (0 if flags[1] == "heart" else 1)
+
+
+@PLOT_FLAGS
+def test_level_set_segments_match_the_cell_loop_on_the_plot_grids(flags):
+    # the 61 x 61 log |F| grid and the seven levels that plot draws
+    mp, xs, ys, nodes = plot_grid(flags)
+    values = 0.5 * metric._evaluate(mp, nodes, guard=0.0)[0]
+    anchor = 0.5 * float(metric._evaluate(mp, np.zeros(1, dtype=complex), guard=0.0)[0][0])
     drawn = 0
     for k in range(-3, 4):
         level = anchor + k * math.log(2.0)
