@@ -62,6 +62,10 @@ class StencilHitsSingularity(ConeMetricError):
     """A finite-difference stencil point landed on or too near a singularity."""
 
 
+class ModulusOutOfRange(ConeMetricError):
+    """The developing modulus |F| = e^{s/2} over- or underflows the float range."""
+
+
 class NotASingularPoint(ConeMetricError):
     """Cone-angle estimate requested at a point that is neither pole, zero nor infinity."""
 

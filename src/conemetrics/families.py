@@ -44,6 +44,7 @@ from .errors import (
     DegenerateQuadratic,
     DivisionByZero,
     DoubleRoot,
+    ModulusOutOfRange,
 )
 from .forms import CharacterForm, make_form
 
@@ -96,9 +97,15 @@ def heart_apex_image(params: HeartParams) -> float:
     """|w0| = |F(0)| = e^{c/2} (gamma/beta)^gamma, the developing image of the apex.
 
     The modulus is branch independent even though F(0) itself carries the
-    (-1)^beta phase ambiguity.
+    (-1)^beta phase ambiguity.  Raises ``ModulusOutOfRange`` where it overflows.
     """
-    return math.exp(0.5 * params.c_log) * (params.gamma / params.beta) ** params.gamma
+    try:
+        w0 = math.exp(0.5 * params.c_log) * (params.gamma / params.beta) ** params.gamma
+    except OverflowError:
+        w0 = math.inf
+    if w0 == math.inf:
+        raise ModulusOutOfRange(f"|F(0)| = e^(c/2) (gamma/beta)^gamma overflows at c = {params.c_log}")
+    return w0
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +218,10 @@ def _continued_sqrt_discriminant(angles: AngleTriple, p_beta: complex, disc: com
 
     # D(t) = d0 + qb t + qa t^2, and u_i = 1/t_i solve d0 u^2 + qb u + qa = 0
     d0 = disc_at(0.0)
+    if d0 == 0.0:
+        raise DegenerateQuadratic(
+            f"the pole quadratic's discriminant (beta (alpha + gamma))^2 at P_beta = 0 "
+            f"underflows for the angles ({angles.alpha}, {angles.beta}, {angles.gamma})")
     qa = 2.0 * disc + 2.0 * d0 - 4.0 * disc_at(0.5)
     qb = disc - d0 - qa
     w = cmath.sqrt(qb * qb - 4.0 * d0 * qa)

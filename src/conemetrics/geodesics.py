@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EndpointNotReached, NotASingularPoint, TraceDiverged
+from .errors import EndpointNotReached, ModulusOutOfRange, NotASingularPoint, TraceDiverged
 from .families import ThreeFootballParams, three_football_metric
 from .forms import INFINITY, coefficient_derivative_at
 from .metric import MetricParams, _vertex_distance, developing_modulus, vertex_distance
@@ -663,7 +663,10 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
     u_hat = _default_launch(params, a, b, increasing) if launch_dir is None \
         else complex(launch_dir) / abs(complex(launch_dir))
     z_start = a + LAUNCH_OFFSET * u_hat
-    tau0 = math.log(developing_modulus(params, z_start))
+    modulus = developing_modulus(params, z_start)
+    if not 0.0 < modulus < math.inf:
+        raise ModulusOutOfRange(f"|F| at the launch point {z_start} is {modulus}")
+    tau0 = math.log(modulus)
     direction = 1.0 if increasing else -1.0
 
     def advance(s: float, node) -> tuple[complex, None]:
@@ -687,7 +690,10 @@ def trace_radial_preimage(params: MetricParams, a, b, n: int = 400,
     # the last sample, lifted alone: the same node and Newton steps as in the grid
     z_end = complex(lift(np.array([s_end]))[0])
     tau_end = tau0 + direction * s_end
-    arc = 2.0 * abs(math.atan(math.exp(tau_end)) - math.atan(math.exp(tau0)))
+    try:
+        arc = 2.0 * abs(math.atan(math.exp(tau_end)) - math.atan(math.exp(tau0)))
+    except OverflowError:
+        raise ModulusOutOfRange(f"|F| = e^{tau_end} at the arrival overflows") from None
 
     stub_a = float(vertex_distance(params, a, z_start))
     if b is INFINITY and clip_radius is not None:

@@ -178,7 +178,13 @@ def test_report_prints_one_triangle_and_nothing_else(capsys, p_beta):
     ("--family", "threefb", "--alpha", "1.1540720102069653", "--beta", "0.5703196331778746",
      "--gamma", "0.5601789631272324", "--pbeta", "-0.2547391929220373-1.0149269795084517i",
      "--branch", "minus", "--camp", "1.57006035055644"),
-], ids=["special-0.3+0.2i", "heart-0.15", "heart-0.3", "crowded-poles", "crowded-infinity"])
+    # P_beta and P_gamma 0.0072 apart with residues -0.102 and +0.103, and
+    # |P_alpha| ~ 1567: lambda^2 ~ 1e-15 at the worst curvature cells
+    ("--family", "threefb", "--alpha", "0.06293631690050941", "--beta", "0.1023944798902496",
+     "--gamma", "0.1029593015661615", "--pbeta", "-2.0490984497023925+0.7996405131514738i",
+     "--branch", "minus", "--camp", "0.0021141979852889285"),
+], ids=["special-0.3+0.2i", "heart-0.15", "heart-0.3", "crowded-poles", "crowded-infinity",
+        "cancelling-residues"])
 def test_verify_curvature_passes_where_the_density_is_tiny(capsys, config):
     # every check passes, cone angles and traced length included, and no
     # marked point is too crowded for its cone-angle contour
@@ -521,6 +527,42 @@ def test_overflowing_pole_quadratic_exits_1(capsys, tmp_path, command, alpha):
     assert code == 1
     assert "the pole quadratic" in out + err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "report", "sample", "plot"])
+def test_underflowing_pole_quadratic_exits_1(capsys, tmp_path, command):
+    # beta (alpha + gamma) ~ 1e-181: the discriminant at P_beta = 0, its square,
+    # underflows to 0
+    code = cli.main([command, "--family=threefb", "--alpha=3.294301746450613e-218",
+                     "--beta=9.320126219987355e-67", "--gamma=1.214672597452364e-115",
+                     "--pbeta=-4.865757101279949e+18-3.681733337518725e+18i", f"--out={tmp_path}"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "the pole quadratic" in out + err
+    assert "Traceback" not in err
+
+
+def test_report_refuses_a_heart_apex_beyond_the_float_range(capsys):
+    code, out = run(capsys, "report", "--family=heart", "--c=1420")
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "|F(0)| = e^(c/2) (gamma/beta)^gamma overflows at c = 1420.0"}
+
+
+@pytest.mark.parametrize("c,failure", [
+    ("1419", "at the arrival overflows"),  # the traces to infinity
+    ("1420", "e^(c/2) overflows at c = 1420.0"),
+    ("-1500", "at the launch point"),  # |F| underflows to 0 there
+], ids=["1419", "1420", "-1500"])
+def test_plot_warns_where_the_developing_modulus_leaves_the_float_range(capsys, tmp_path, c,
+                                                                         failure):
+    code = cli.main(["plot", "--family=heart", f"--c={c}", f"--out={tmp_path}"])
+    _, err = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in err
+    warnings = re.findall(r"<!-- warning: trace toward .* failed: (.*) -->",
+                          (tmp_path / "plot.svg").read_text())
+    assert warnings and all(failure in w for w in warnings), warnings
 
 
 def wide_hearts(count):

@@ -243,7 +243,8 @@ def test_curvature_where_density_is_tiny():
 def test_curvature_field_matches_pointwise_stencil():
     mp = heart_metric(HeartParams(0.5, 0.0))
     # the last point's stencil lands on the pole at 1, the one before on the zero
-    z = np.array([[0.4 + 0.7j, -2.0 - 1.0j], [1e-4 + 0.0j, 1.0 + 1e-4j]])
+    h = metric.CURVATURE_STEP
+    z = np.array([[0.4 + 0.7j, -2.0 - 1.0j], [h + 0.0j, 1.0 + 1j * h]])
     kappa = curvature_field(mp, z)
     assert kappa.shape == z.shape
     assert np.isnan(kappa[1]).all()
@@ -252,6 +253,21 @@ def test_curvature_field_matches_pointwise_stencil():
         assert k == pytest.approx(1.0, abs=1e-5)
     with pytest.raises(ValueError):
         curvature_field(mp, z, 0.1)
+
+
+def test_curvature_truncation_scales_as_h_squared_where_the_density_is_tiny():
+    # residues that nearly cancel: lambda^2 ~ 1e-15 and |f| a few 1e-6 at these
+    # cells, where the stencil's first-order terms are 9 orders above its
+    # O(h^2 lambda^2) signal; K - 1 must be the stencil's own h^2 term
+    tf = make_three_football(
+        AngleTriple(0.06293631690050941, 0.1023944798902496, 0.1029593015661615),
+        complex(-2.0490984497023925, 0.7996405131514738), Branch.MINUS, 0.0021141979852889285)
+    mp = three_football_metric(tf)
+    for z in (0.6, 0.8):
+        assert density(mp, z) < 1e-14
+        coarse, fine = curvature(mp, z, 1e-4) - 1.0, curvature(mp, z, 1e-5) - 1.0
+        assert coarse / fine == pytest.approx(100.0, rel=1e-2), (z, coarse, fine)
+        assert abs(coarse) < 5e-3
 
 
 def test_curvature_stencil_guard():
