@@ -101,11 +101,11 @@ def heart_apex_image(params: HeartParams) -> float:
     """
     try:
         w0 = math.exp(0.5 * params.c_log) * (params.gamma / params.beta) ** params.gamma
+        if w0 < math.inf:
+            return w0
     except OverflowError:
-        w0 = math.inf
-    if w0 == math.inf:
-        raise ModulusOutOfRange(f"|F(0)| = e^(c/2) (gamma/beta)^gamma overflows at c = {params.c_log}")
-    return w0
+        pass
+    raise ModulusOutOfRange(f"|F(0)| = e^(c/2) (gamma/beta)^gamma overflows at c = {params.c_log}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +219,8 @@ def _continued_sqrt_discriminant(angles: AngleTriple, p_beta: complex, disc: com
     # D(t) = d0 + qb t + qa t^2, and u_i = 1/t_i solve d0 u^2 + qb u + qa = 0
     d0 = disc_at(0.0)
     if d0 == 0.0:
-        raise DegenerateQuadratic(
-            f"the pole quadratic's discriminant (beta (alpha + gamma))^2 at P_beta = 0 "
-            f"underflows for the angles ({angles.alpha}, {angles.beta}, {angles.gamma})")
+        raise DegenerateQuadratic("the pole quadratic's discriminant (beta (alpha + gamma))^2 "
+                                  "at P_beta = 0 underflows")
     qa = 2.0 * disc + 2.0 * d0 - 4.0 * disc_at(0.5)
     qb = disc - d0 - qa
     w = cmath.sqrt(qb * qb - 4.0 * d0 * qa)

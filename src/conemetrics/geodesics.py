@@ -271,24 +271,17 @@ def _correct(positions, signed, chart, x: complex, q: complex, x_new: complex, t
     log(z' - p_k) loses next to a pole.
     """
     scale = max(1.0, abs(target))
-    if chart is None:
-        v = qv = None
-        e = x
-        poles = [(r, -p, False) for p, r in zip(positions, signed)]
-    else:
-        v, qv = chart.v, chart.qv
-        e = cmath.exp(x)
-        poles = chart.poles
+    in_z = chart is None
+    qv = None if in_z else chart.qv
+    e = x if in_z else cmath.exp(x)
+    poles = [(r, -p, False) for p, r in zip(positions, signed)] if in_z else chart.poles
     poles = [(r, offset, offset + e, at_vertex) for r, offset, at_vertex in poles]
     for attempt in range(5):
-        if chart is None:
-            e = z_new = x_new
-        else:
-            try:
-                e = cmath.exp(x_new)
-            except OverflowError:
-                return None
-            z_new = v + e
+        try:
+            e = x_new if in_z else cmath.exp(x_new)
+        except OverflowError:
+            return None
+        z_new = e if in_z else chart.v + e
         f = 0j
         spread = 0.0
         nearest = math.inf
@@ -304,7 +297,7 @@ def _correct(positions, signed, chart, x: complex, q: complex, x_new: complex, t
             f += term
             spread += abs(term)
             q_new += r * (x_new - x) if at_vertex else r * cmath.log(d / base)
-        slope = f if chart is None else f * e
+        slope = f if in_z else f * e
         residual = q_new - target
         if abs(residual) <= 4.0 * _ULP * (scale + abs(z_new) * spread):
             return x_new, z_new, q_new, slope, nearest

@@ -53,13 +53,9 @@ from .errors import (
 )
 from .forms import INFINITY, POLE_GUARD, CharacterForm
 
-#: default finite-difference step for curvature stencils.  At the worst
-#: verify cell of the sweep and wide-box configurations, against the same
-#: stencil in 60-digit arithmetic, the paired arms round K by at most 5e-7
-#: for every h in [1e-6, 1e-2], while the O(h^2) truncation falls from
-#: 4.2e-3 at 1e-4 to 3.6e-7 at 1e-6.  At 1e-5 the truncation, at most 4.2e-5,
-#: still exceeds the rounding 900-fold, so K - 1 reads the stencil's own h^2
-#: term; at 1e-6 the two are of one size.
+#: default finite-difference step for curvature stencils.  Paired, the arms
+#: round K by at most 5e-7 at every step; K - 1 is then the O(h^2) truncation,
+#: at most 4.2e-5 over the identity sweep's cells, 900 times the rounding
 CURVATURE_STEP = 1e-5
 
 #: points per kernel call of :func:`write_density_grid_csv`, rounded down to whole
@@ -215,20 +211,14 @@ def curvature_field(params: MetricParams, z, h: float = CURVATURE_STEP) -> np.nd
     The Laplacian of ``g`` alone is taken with the 5-point stencil of
     spacing ``h``, ``sigma`` being the sign of ``s`` at the stencil centre.
 
-    Each arm's difference ``s(z + d) - s(z) = sum_k r_k log|1 + w_k|^2``,
-    ``w_k = d / (z - p_k)``, is formed directly, never by subtracting two
-    values of ``s``: where the density is tiny, ``g`` is about ``e^{-|s|}``
-    and the rounding of ``s`` itself would swamp the O(h^2 lambda^2) signal.
-    The two arms ``+-d`` of each axis are summed in closed form before any
-    subtraction, since their first-order terms cancel only in the sum: with
-    ``a = -sigma ds(+d)``, ``b = -sigma ds(-d)`` and
-    ``q = e^{-sigma s} / (1 + e^{-sigma s})``,
-
-        dg(+d) + dg(-d) = log1p(q expm1(a + b) - q (1 - q) expm1(a) expm1(b)),
-
-    where ``a + b = -sigma sum_k r_k log|1 - w_k^2|^2`` is formed directly
-    too.  K is nan where a stencil point lies within ``POLE_GUARD`` of a pole
-    or has zero density.
+    Where the density is tiny, ``g`` is about ``e^{-|s|}``, so no value of
+    ``s`` is subtracted from another: each arm's ``ds = sum_k r_k log|1 + w_k|^2``,
+    ``w_k = d / (z - p_k)``, and the arms ``+-d`` of each axis are summed in
+    closed form, since their O(h) terms cancel only in the sum.  With
+    ``a, b = -sigma ds(+-d)`` and ``q = e^{-sigma s} / (1 + e^{-sigma s})``,
+    ``dg(+d) + dg(-d) = log1p(q expm1(a + b) - q (1 - q) expm1(a) expm1(b))``,
+    ``a + b = -sigma sum_k r_k log|1 - w_k^2|^2``.  K is nan where a stencil
+    point lies within ``POLE_GUARD`` of a pole or has zero density.
     """
     if not (1e-6 <= h <= 1e-2):
         raise ValueError(f"stencil step h={h} outside [1e-6, 1e-2]")
