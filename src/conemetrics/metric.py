@@ -55,7 +55,7 @@ from .forms import INFINITY, POLE_GUARD, CharacterForm
 
 #: default finite-difference step for curvature stencils.  Paired, the arms
 #: round K by at most 5e-7 at every step; K - 1 is then the O(h^2) truncation,
-#: at most 4.2e-5 over the identity sweep's cells, 900 times the rounding
+#: at most 4.2e-5 at the worst verify cell measured, 900 times the rounding
 CURVATURE_STEP = 1e-5
 
 #: points per kernel call of :func:`write_density_grid_csv`, rounded down to whole

@@ -549,6 +549,13 @@ def test_report_refuses_a_heart_apex_beyond_the_float_range(capsys):
         "error": "|F(0)| = e^(c/2) (gamma/beta)^gamma overflows at c = 1420.0"}
 
 
+def test_verify_aborts_where_the_density_underflows(capsys):
+    # e^(c/2) ~ e^710: lambda^2 underflows to 0 on the curvature lattice
+    code, out = run(capsys, "verify", "--family=heart", "--c=1420")
+    assert code == 1
+    assert out == "verification aborted: curvature: stencil at (-3-3j) touched a singular point\n"
+
+
 @pytest.mark.parametrize("c,failure", [
     ("1419", "at the arrival overflows"),  # the traces to infinity
     ("1420", "e^(c/2) overflows at c = 1420.0"),
