@@ -22,6 +22,9 @@ curvature stencil, the cone-angle contours (all of them in one call, by
 ``verify``'s checks, and ``plot``'s level sets of log|F| = s / 2.  One of
 those checks compares the kernel with the developing route, whose array
 form (``_developing_density``) is kept apart from the kernel on purpose.
+The CSV grid is the one computation spread over CPUs: a large grid is cut
+into parts of whole kernel blocks, and each part but the first is written
+by a forked child (``write_density_grid_csv``).
 The scalar logistic route (``density_at`` and ``phi_at`` in
 ``tests/oracles.py``) is an independent oracle of the kernel; the two agree
 to rounding, not bit for bit.  The Newton continuation of log F in
@@ -36,7 +39,11 @@ at a zero a.  Cone angles then follow from the spherical cone law
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -60,8 +67,17 @@ CURVATURE_STEP = 1e-5
 
 #: points per kernel call of :func:`write_density_grid_csv`, rounded down to whole
 #: rows: enough to spread the per-call cost, few enough that the stencil's
-#: temporaries stay small (4096 points raise a 201 x 201 run's peak RSS by ~10%)
+#: temporaries stay small (4096 points raise a 201 x 201 run's peak RSS by ~10%).
+#: A grid's parts are cut at these blocks, so each part makes the same kernel
+#: calls as the one-part loop
 CSV_BLOCK_POINTS = 1024
+
+#: fewest cells per part of :func:`write_density_grid_csv`: a grid is cut only
+#: from 2 * 4096 cells (91 x 91), since a child's part must earn back its fork,
+#: reaping and copy, and the pages its parent then copies on write.  The 41 x 41
+#: and 61 x 61 grids stay one part.  On a 2-vCPU VM two parts of 201 x 201 took
+#: 0.58-0.60x the one-part time (CHANGES.md has the table)
+CSV_PART_CELLS = 4096
 
 
 class Mark(NamedTuple):
@@ -362,9 +378,13 @@ def _cone_angle_estimates(params: MetricParams, contours, n: int = 1024) -> list
     s, _, density = _evaluate(params, z)
     out = []
     for i, (mark, eps) in enumerate(contours):
-        rho = (_vertex_distance(params, mark, mark.position, z[i]) if mark.kind == "zero"
-               else _distance_to_pole(s[i], mark.residue))
-        arc = np.sqrt(density[i]) / np.sin(rho)
+        if mark.kind == "zero":
+            sin_rho = np.sin(_vertex_distance(params, mark, mark.position, z[i]))
+        else:
+            # sin(2 arctan e^{sigma s / 2}) = sech(s / 2): it keeps its digits
+            # where a large |s| rounds rho to pi
+            sin_rho = 1.0 / np.cosh(0.5 * s[i])
+        arc = np.sqrt(density[i]) / sin_rho
         out.append(float(scales[i] * eps * 2.0 * math.pi / n * np.sum(arc)))
     return out
 
@@ -384,19 +404,67 @@ def write_density_grid_csv(params: MetricParams, bounds, nx: int, ny: int, fh,
     longer), and each block is written before the next, so memory is
     bounded by the block, not by ``nx * ny``.  Each row is formatted by one
     ``%`` call, its x column baked into a format built once per grid.
+
+    A grid of at least ``2 * CSV_PART_CELLS`` cells is cut at block
+    boundaries into contiguous parts of rows, at most one per CPU of this
+    process's affinity mask (``os.cpu_count()`` where there is none), and
+    one where ``os.fork`` is missing.  This process writes part 0 to ``fh``;
+    each other part is written by a child made with ``os.fork`` into an
+    anonymous temporary file, and appended to ``fh`` in row order, in
+    bounded chunks.  Every part is written by the same loop over the same
+    blocks, so the bytes are those of one part.  A child ends in
+    ``os._exit``, flushing nothing it inherited; it runs only the kernel and
+    the formatting (numpy's OpenBLAS stops its threads across a fork).
+    Every child is reaped before this returns or raises, and a child that
+    failed raises ``OSError`` naming its part.
     """
     x0, x1, y0, y1 = bounds
     xs = [x0 + (x1 - x0) * ix / (nx - 1) for ix in range(nx)]
     row_format = "".join(f"{x:.17g},%s,%.17g,%.17g,%.17g\n" for x in xs)
     rows = max(1, CSV_BLOCK_POINTS // max(nx, 1))
+
+    def write_rows(start: int, stop: int, out) -> None:
+        for first in range(start, stop, rows):
+            ys = [y0 + (y1 - y0) * iy / (ny - 1) for iy in range(first, min(stop, first + rows))]
+            z = np.empty((len(ys), nx), dtype=complex)
+            z.real = xs
+            z.imag = np.array(ys)[:, None]
+            _, phi, den = _evaluate(params, z)
+            cur = curvature_field(params, z, h)
+            for y, p, d, k in zip(ys, phi.tolist(), den.tolist(), cur.tolist()):
+                cells = zip(repeat(f"{y:.17g}"), p, d, k)
+                out.write(row_format % tuple(chain.from_iterable(cells)))
+
+    blocks = -(-ny // rows)
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    parts = max(1, min(cpus, blocks, nx * ny // CSV_PART_CELLS)) if hasattr(os, "fork") else 1
+    # part k holds rows cuts[k] to cuts[k + 1] - 1
+    cuts = [min(ny, rows * (blocks * k // parts)) for k in range(parts + 1)]
     fh.write("re,im,phi,density,curvature\n")
-    for start in range(0, ny, rows):
-        ys = [y0 + (y1 - y0) * iy / (ny - 1) for iy in range(start, min(ny, start + rows))]
-        z = np.empty((len(ys), nx), dtype=complex)
-        z.real = xs
-        z.imag = np.array(ys)[:, None]
-        _, phi, den = _evaluate(params, z)
-        cur = curvature_field(params, z, h)
-        for y, p, d, k in zip(ys, phi.tolist(), den.tolist(), cur.tolist()):
-            cells = zip(repeat(f"{y:.17g}"), p, d, k)
-            fh.write(row_format % tuple(chain.from_iterable(cells)))
+    with contextlib.ExitStack() as stack:
+        children = []
+        try:
+            for k in range(1, parts):
+                spill = stack.enter_context(tempfile.TemporaryFile("w+"))
+                pid = os.fork()
+                if pid == 0:  # the child: write part k, then exit without any cleanup
+                    code = 1
+                    try:
+                        write_rows(cuts[k], cuts[k + 1], spill)
+                        spill.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+                children.append((k, pid, spill))
+            write_rows(cuts[0], cuts[1], fh)
+        finally:
+            statuses = [os.waitpid(pid, 0)[1] for _, pid, _ in children]
+        for (k, _, _), status in zip(children, statuses):
+            if status != 0:
+                raise OSError(f"part {k} of {parts} of the grid (rows {cuts[k]} to "
+                              f"{cuts[k + 1] - 1}) failed: exit code "
+                              f"{os.waitstatus_to_exitcode(status)}")
+        for _, _, spill in children:
+            spill.seek(0)
+            shutil.copyfileobj(spill, fh)

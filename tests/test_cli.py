@@ -585,3 +585,51 @@ def test_verify_passes_on_a_wide_box_of_hearts(capsys):
     for beta, c in wide_hearts(40):
         code, out = run(capsys, "verify", "--family=heart", f"--beta={beta!r}", f"--c={c!r}")
         assert code == 0, (beta, c, out)
+
+
+@pytest.mark.parametrize("c", ["100", "-100"])
+@pytest.mark.parametrize("beta", ["0.15", "0.5", "0.85"])
+def test_verify_passes_on_hearts_with_a_large_c(capsys, beta, c):
+    # at the vertex that develops to 0 or infinity, rho = 2 arctan e^{sigma s / 2}
+    # rounds to pi for a large |s|, so sin(rho) kept no digit; the cone law reads
+    # sin(rho) = sech(s / 2) instead
+    code, out = run(capsys, "verify", "--family=heart", f"--beta={beta}", f"--c={c}")
+    assert code == 0, out
+    assert out.endswith("all checks passed\n"), out
+    assert re.search(r"^cone-angles: residual=\S+ tol=\S+ PASS$", out, re.MULTILINE), out
+
+
+def test_sample_in_parts_writes_the_one_part_file_and_leaves_no_child(capsys, tmp_path,
+                                                                      monkeypatch):
+    # the grid of the grid-sample workload, written on one CPU and on two
+    argv = ["sample", "--family=threefb", "--special", "--pbeta=0.3+0.2i",
+            "--grid=-3,3,-3,3,201,201"]
+    written = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        out = tmp_path / str(cpus)
+        assert run(capsys, *argv, f"--out={out}") == (0, f"{out / 'sample.csv'}\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        written.append((out / "sample.csv").read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") == 1 + 201 * 201
+
+
+def test_sample_exits_2_when_a_part_fails(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, kernel = os.getpid(), metric._evaluate
+
+    def failing_in_the_child(params, z):
+        if os.getpid() != parent:
+            raise MemoryError
+        return kernel(params, z)
+
+    monkeypatch.setattr(metric, "_evaluate", failing_in_the_child)
+    code = cli.main(["sample", "--family=heart", "--grid=-3,3,-3,3,201,201", f"--out={tmp_path}"])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert err == (f"cannot write {tmp_path / 'sample.csv'}: part 1 of 2 of the grid "
+                   "(rows 100 to 200) failed: exit code 1\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

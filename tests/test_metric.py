@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import random
 
 import numpy as np
@@ -574,8 +575,107 @@ def test_csv_block_writer_on_poles_and_zeros(mp):
         assert ",nan,nan,nan\n" in text
 
 
+def set_cpus(monkeypatch, n):
+    """Make the CSV writer see n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def count_forks(monkeypatch):
+    """The list that each ``os.fork`` of the CSV writer appends its child's pid to."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("bounds,nx,ny", [
+    ((-3.0, 3.0, -3.0, 3.0), 201, 201),
+    ((-3.0, 3.0, -3.0, 3.0), 1500, 3),  # a row longer than a block
+    ((-3.0, 3.0, -2.5, 2.5), 7, 300),  # ny not a multiple of the block's rows
+], ids=["201x201", "1500x3", "7x300"])
+def test_csv_parts_match_the_row_writer(monkeypatch, cpus, bounds, nx, ny):
+    set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(metric, "CSV_PART_CELLS", 1)
+    forks = count_forks(monkeypatch)
+    mp = three_football_metric(SPECIAL)
+    assert_same_lines(block_csv(mp, bounds, nx, ny), rowwise_csv(mp, bounds, nx, ny))
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus,n,forks", [
+    (2, 41, 0),  # the companion grids of verify-sweep and decompose
+    (2, 61, 0),  # the default grid
+    (2, 201, 1),
+    (3, 201, 2),
+    (1, 201, 0),
+])
+def test_csv_parts_follow_the_grid_size_and_the_cpus(monkeypatch, cpus, n, forks):
+    set_cpus(monkeypatch, cpus)
+    pids = count_forks(monkeypatch)
+    block_csv(heart_metric(HeartParams(0.5, 0.0)), (-3.0, 3.0, -3.0, 3.0), n, n)
+    assert len(pids) == forks
+
+
+def test_csv_parts_count_the_cpus_without_an_affinity_mask(monkeypatch):
+    # the affinity mask wins over the machine's CPU count where it exists
+    set_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    pids = count_forks(monkeypatch)
+    mp = heart_metric(HeartParams(0.5, 0.0))
+    block_csv(mp, (-3.0, 3.0, -3.0, 3.0), 201, 201)
+    assert pids == []
+    monkeypatch.delattr(os, "sched_getaffinity")
+    block_csv(mp, (-3.0, 3.0, -3.0, 3.0), 201, 201)
+    assert len(pids) == 2
+
+
+def test_csv_writes_one_part_without_fork(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork")
+    mp = heart_metric(HeartParams(0.5, 0.0))
+    bounds = (-3.0, 3.0, -3.0, 3.0)
+    assert_same_lines(block_csv(mp, bounds, 201, 201), rowwise_csv(mp, bounds, 201, 201))
+
+
+@pytest.mark.parametrize("where,error,message", [
+    ("child", OSError, r"^part 1 of 3 of the grid \(rows 65 to 134\) failed: exit code 1$"),
+    # the parent's own error propagates once its children are reaped
+    ("parent", RuntimeError, "^kernel failed$"),
+])
+def test_a_failing_part_raises_after_every_child_is_reaped(monkeypatch, where, error, message):
+    set_cpus(monkeypatch, 3)
+    pids = count_forks(monkeypatch)
+    parent, kernel = os.getpid(), metric._evaluate
+
+    def failing(params, z):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise RuntimeError("kernel failed")
+        return kernel(params, z)
+
+    monkeypatch.setattr(metric, "_evaluate", failing)
+    with pytest.raises(error, match=message):
+        block_csv(heart_metric(HeartParams(0.5, 0.0)), (-3.0, 3.0, -3.0, 3.0), 201, 201)
+    assert len(pids) == 2
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("nx,ny", [(201, 201), (7, 300), (1500, 3), (2, 2)])
 def test_csv_kernel_calls_are_bounded_by_the_block(monkeypatch, nx, ny):
+    # one part: a child's kernel calls are not counted here
+    set_cpus(monkeypatch, 1)
     sizes = []
     kernel = metric._evaluate
 

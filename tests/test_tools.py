@@ -57,3 +57,49 @@ def test_identity_sweep_draws_a_seeded_wide_box():
     assert configs == sweep.wide_box_configs(4)
     assert [name for name, _, _ in configs] == ["w000", "w001", "w002", "w003"]
     assert all(flags[0] == "--family=threefb" for _, flags, _ in configs)
+
+
+def test_identity_sweep_samples_the_full_grids_of_grid_sample():
+    # the 41 x 41 grids of the sweep are written in one part; these two are cut
+    sweep = load_tool("identity_sweep")
+    workloads = sweep._workloads()
+    configs = sweep.full_grid_configs()
+    assert [name for name, _, _ in configs] == ["g000", "g001"]
+    assert sorted(flags for _, flags, _ in configs) == sorted(
+        cfg.flags() for cfg in (workloads.HEART_HALF, workloads.SPECIAL))
+
+
+def bench_run(workload, seed, side, pair, failed, attempted, value):
+    metrics = {"sample.cells_per_s": {"value": value, "unit": "1/s"}}
+    return {"workload": workload, "seed": seed, "side": side, "pair": pair,
+            "result": {"correct": True, "failed": failed, "attempted": attempted,
+                       "metrics": metrics}}
+
+
+def test_bench_pairs_sums_failed_operations_over_the_runs():
+    pairs = load_tool("bench_pairs")
+    metrics = [{"name": "sample.cells_per_s", "better": "higher"}]
+    # every run of grid-sample reads a failed share of 0 or 1/1000: the change's
+    # median share equals the parent's, but it failed one operation more
+    runs = [bench_run("grid-sample", 1, "parent", 0, 0, 1000, 100.0),
+            bench_run("grid-sample", 1, "change", 0, 1, 1000, 160.0),
+            bench_run("grid-sample", 1, "change", 1, 1, 1000, 150.0),
+            bench_run("grid-sample", 1, "parent", 1, 0, 1000, 110.0),
+            bench_run("grid-sample", 1, "parent", 2, 1, 1000, 90.0),
+            bench_run("grid-sample", 1, "change", 2, 0, 1000, 170.0),
+            bench_run("decompose", 1, "parent", 0, 2, 500, 10.0),
+            bench_run("decompose", 1, "change", 0, 1, 500, 10.0),
+            # a run that crashed returns no result and counts in neither sum
+            {"workload": "decompose", "seed": 1, "side": "change", "pair": 1, "result": None}]
+    assert pairs.failures(runs) == {
+        ("grid-sample", 1, "parent"): (1, 3000), ("grid-sample", 1, "change"): (2, 3000),
+        ("decompose", 1, "parent"): (2, 500), ("decompose", 1, "change"): (1, 500)}
+    assert pairs.more_failures(runs) == [("grid-sample", 1)]
+    assert pairs.summary(runs, metrics) == [
+        "decompose, seed 1, 1 pairs",
+        "  failed/attempted over all runs: parent 2/500, change 1/500",
+        "  sample.cells_per_s     10 [10, 10] -> 10 [10, 10]  1.000x  wins 0/1",
+        "grid-sample, seed 1, 3 pairs",
+        "  failed/attempted over all runs: parent 1/3000, change 2/3000  MORE FAILURES",
+        "  sample.cells_per_s     100 [90, 110] -> 160 [150, 170]  1.600x  wins 3/3",
+    ]

@@ -15,8 +15,12 @@ all runs are written to ``--out`` in the schema of ``BENCH_21.json``
 (``harness``, ``machine``, ``roles``, ``wall_s``, ``runs``).  Then it prints,
 per workload and seed, every end-to-end metric of ``BENCHMARK.json``: each
 side's median and quartiles, the ratio of the medians (change / parent) and
-the pairs the change won (ties count for neither side).  The exit status is 1
-when a run fails or reports ``correct: false``.
+the pairs the change won (ties count for neither side), and each side's
+``failed`` and ``attempted`` operations summed over all of its runs.  The
+exit status is 1 when a run fails or reports ``correct: false``, or when the
+change failed more operations than the parent on some workload and seed in
+total: a failure or two in many thousands reads 0 in every median of
+``ops_failed_share``, and shows only in the sum.
 """
 
 from __future__ import annotations
@@ -110,9 +114,35 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return statistics.median(values), q1, q3
 
 
+def failures(runs: list[dict]) -> dict[tuple[str, int, str], tuple[int, int]]:
+    """``(failed, attempted)`` summed over the runs of each workload, seed and side
+    that returned a result."""
+    out: dict[tuple[str, int, str], tuple[int, int]] = {}
+    for r in runs:
+        if r["result"] is not None:
+            key = (r["workload"], r["seed"], r["side"])
+            failed, attempted = out.get(key, (0, 0))
+            out[key] = (failed + r["result"]["failed"], attempted + r["result"]["attempted"])
+    return out
+
+
+def more_failures(runs: list[dict]) -> list[tuple[str, int]]:
+    """The workloads and seeds on which the change failed more operations than the parent."""
+    totals = failures(runs)
+    worse = []
+    for (workload, seed, side), (failed, _) in totals.items():
+        parent, _ = totals.get((workload, seed, "parent"), (0, 0))
+        if side == "change" and failed > parent:
+            worse.append((workload, seed))
+    return sorted(worse)
+
+
 def summary(runs: list[dict], metrics: list[dict]) -> list[str]:
-    """The table lines: per workload and seed, each metric's medians, quartiles and wins."""
+    """The table lines: per workload and seed, the failed operations of each side,
+    then each metric's medians, quartiles and wins."""
     lines = []
+    totals = failures(runs)
+    worse = more_failures(runs)
     groups = sorted({(r["workload"], r["seed"]) for r in runs})
     for workload, seed in groups:
         by_pair: dict[int, dict[str, dict]] = {}
@@ -121,6 +151,12 @@ def summary(runs: list[dict], metrics: list[dict]) -> list[str]:
                 by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
         pairs = [p for p in by_pair.values() if len(p) == 2]
         lines.append(f"{workload}, seed {seed}, {len(pairs)} pairs")
+        counts = []
+        for side in ("parent", "change"):
+            failed, attempted = totals.get((workload, seed, side), (0, 0))
+            counts.append(f"{side} {failed}/{attempted}")
+        lines.append(f"  failed/attempted over all runs: {', '.join(counts)}"
+                     f"{'  MORE FAILURES' if (workload, seed) in worse else ''}")
         for metric in metrics if pairs else ():
             name = metric["name"]
             parent = [p["parent"][name]["value"] for p in pairs]
@@ -173,7 +209,7 @@ def main(argv=None) -> int:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
     print("\n".join(summary(runs, metrics)))
-    return 1 if bad else 0
+    return 1 if bad or more_failures(runs) else 0
 
 
 if __name__ == "__main__":

@@ -7,13 +7,17 @@ Run it from anywhere inside the repository.  It ``git archive``s the parent
 revision into a temporary directory and runs ``verify``, ``report``,
 ``sample --grid=-3,3,-3,3,41,41`` and ``plot`` on every distinct
 configuration of ``build_ops("verify-sweep", seed)`` for seeds 1 and 7919,
-plus ``DECOMPOSE_SET`` (206 configurations), once under each tree, each tree
-in a fresh interpreter of its own.  Then it compares exit codes, stdout line
-by line, stderr, and the CSV and SVG files, and prints every difference
-under a key such as ``c017/verify/stdout:traced-length`` or
-``c017/plot/plot.svg``, with the configuration it names.  Differences whose
-key matches an ``--expect`` glob (fnmatch) are intended; any other makes the
-exit status 1.  ``--keep DIR`` keeps both output trees there.
+plus ``DECOMPOSE_SET`` (206 configurations).  It also runs ``sample`` alone
+on the 201 x 201 grid of each ``sample`` of ``build_ops("grid-sample", 1)``,
+named ``g000`` and ``g001``: a 41 x 41 grid is written in one part, so only
+these two reach the CSV writer's parts (on a machine with two or more
+CPUs).  Each tree runs them all in a fresh interpreter of its own.  Then it
+compares exit codes, stdout line by line, stderr, and the CSV and SVG
+files, and prints every difference under a key such as
+``c017/verify/stdout:traced-length`` or ``c017/plot/plot.svg``, with the
+configuration it names.  Differences whose key matches an ``--expect`` glob
+(fnmatch) are intended; any other makes the exit status 1.  ``--keep DIR``
+keeps both output trees there.
 
 ``--wide-box N`` adds N admissible three-football configurations of the
 wide box (ROADMAP item 8), drawn by ``random.Random(1)``: each angle
@@ -49,16 +53,16 @@ COMMANDS = ("verify", "report", "sample", "plot")
 SAMPLE_GRID = "-3,3,-3,3,41,41"
 SEEDS = (1, 7919)
 
-#: runs every command of every configuration in one interpreter, from the
-#: ``src`` directory of one tree; argv: src dir, output dir, configs JSON, sample grid
+#: runs the commands of every job in one interpreter, from the ``src`` directory
+#: of one tree; argv: src dir, output dir, jobs JSON of [name, flags, commands, grid]
 _WORKER = r"""
 import contextlib, io, json, os, sys
-src, out, configs, grid = sys.argv[1:5]
+src, out, jobs = sys.argv[1:4]
 sys.path.insert(0, src)
 from conemetrics import cli
 os.chdir(out)
-for name, flags in json.load(open(configs)):
-    for command in ("verify", "report", "sample", "plot"):
+for name, flags, commands, grid in json.load(open(jobs)):
+    for command in commands:
         where = os.path.join(name, command)
         os.makedirs(where)
         argv = [command] + flags
@@ -149,6 +153,14 @@ def sweep_configs() -> list[tuple[str, list[str], str]]:
     return [(f"c{i:03d}", list(flags), label) for i, (flags, label) in enumerate(seen.items())]
 
 
+def full_grid_configs() -> list[tuple[str, list[str], str]]:
+    """``(name, flags, label)`` of each ``sample`` of the ``grid-sample`` workload."""
+    workloads = _workloads()
+    ops = [op for op in workloads.build_ops("grid-sample", SEEDS[0])
+           if op.command == "sample" and op.grid == workloads.FULL_GRID]
+    return [(f"g{i:03d}", op.config.flags(), op.config.label) for i, op in enumerate(ops)]
+
+
 def archive(rev: str, dest: str) -> None:
     """Extract the files of ``rev`` into ``dest``."""
     done = subprocess.run(["git", "-C", ROOT, "archive", rev], capture_output=True, check=True)
@@ -156,11 +168,10 @@ def archive(rev: str, dest: str) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_tree(src: str, out: str, configs_file: str) -> None:
+def run_tree(src: str, out: str, jobs_file: str) -> None:
     os.makedirs(out)
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    subprocess.run([sys.executable, "-c", _WORKER, src, out, configs_file, SAMPLE_GRID],
-                   env=env, check=True)
+    subprocess.run([sys.executable, "-c", _WORKER, src, out, jobs_file], env=env, check=True)
 
 
 def _read(path: str) -> bytes | None:
@@ -171,11 +182,11 @@ def _read(path: str) -> bytes | None:
         return None
 
 
-def compare(parent: str, change: str, configs) -> list[tuple[str, str]]:
+def compare(parent: str, change: str, jobs) -> list[tuple[str, str]]:
     """Every difference as ``(key, detail)``."""
     out = []
-    for name, _, _ in configs:
-        for command in COMMANDS:
+    for name, _, _, commands, _ in jobs:
+        for command in commands:
             a_dir, b_dir = os.path.join(parent, name, command), os.path.join(change, name, command)
             files = sorted(set(os.listdir(a_dir)) | set(os.listdir(b_dir)))
             for part in files:
@@ -198,13 +209,15 @@ def compare(parent: str, change: str, configs) -> list[tuple[str, str]]:
     return out
 
 
-def census(out: str, configs) -> list[str]:
+def census(out: str, jobs) -> list[str]:
     """Exit-code counts per command, and the FAIL counts per ``verify`` check, of one tree."""
     lines = []
     fails: collections.Counter = collections.Counter()
     for command in COMMANDS:
         codes: collections.Counter = collections.Counter()
-        for name, _, _ in configs:
+        for name, _, _, commands, _ in jobs:
+            if command not in commands:
+                continue
             where = os.path.join(out, name, command)
             codes[_read(os.path.join(where, "exit")).decode().strip()] += 1
             if command == "verify":
@@ -220,20 +233,23 @@ def census(out: str, configs) -> list[str]:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    configs = sweep_configs() + wide_box_configs(args.wide_box)
+    jobs = [(*config, COMMANDS, SAMPLE_GRID)
+            for config in sweep_configs() + wide_box_configs(args.wide_box)]
+    jobs += [(*config, ("sample",), _workloads().FULL_GRID) for config in full_grid_configs()]
     with tempfile.TemporaryDirectory(prefix="identity-sweep-") as tmp:
         base = args.keep or tmp
-        configs_file = os.path.join(tmp, "configs.json")
-        with open(configs_file, "w") as fh:
-            json.dump([(name, flags) for name, flags, _ in configs], fh)
+        jobs_file = os.path.join(tmp, "jobs.json")
+        with open(jobs_file, "w") as fh:
+            json.dump([(name, flags, commands, grid) for name, flags, _, commands, grid in jobs],
+                      fh)
         tree = os.path.join(tmp, "tree")
         archive(args.parent, tree)
-        run_tree(os.path.join(tree, "src"), os.path.join(base, "parent"), configs_file)
-        run_tree(os.path.join(ROOT, "src"), os.path.join(base, "change"), configs_file)
-        diffs = compare(os.path.join(base, "parent"), os.path.join(base, "change"), configs)
-        censuses = {tree: census(os.path.join(base, tree), configs)
+        run_tree(os.path.join(tree, "src"), os.path.join(base, "parent"), jobs_file)
+        run_tree(os.path.join(ROOT, "src"), os.path.join(base, "change"), jobs_file)
+        diffs = compare(os.path.join(base, "parent"), os.path.join(base, "change"), jobs)
+        censuses = {tree: census(os.path.join(base, tree), jobs)
                     for tree in ("parent", "change")}
-    labels = {name: label for name, _, label in configs}
+    labels = {name: label for name, _, label, _, _ in jobs}
     unexpected = 0
     for key, detail in diffs:
         expected = any(fnmatch.fnmatchcase(key, pattern) for pattern in args.expect)
@@ -243,7 +259,8 @@ def main(argv=None) -> int:
     for tree, lines in censuses.items():
         for line in lines:
             print(f"{tree} {line}")
-    print(f"{len(configs)} configurations x {len(COMMANDS)} commands: {len(diffs)} differences, "
+    runs = sum(len(commands) for _, _, _, commands, _ in jobs)
+    print(f"{len(jobs)} configurations, {runs} commands: {len(diffs)} differences, "
           f"{unexpected} unexpected")
     return 1 if unexpected else 0
 
