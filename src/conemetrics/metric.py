@@ -40,6 +40,7 @@ at a zero a.  Cone angles then follow from the spherical cone law
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 import os
 import shutil
@@ -412,11 +413,14 @@ def write_density_grid_csv(params: MetricParams, bounds, nx: int, ny: int, fh,
     each other part is written by a child made with ``os.fork`` into an
     anonymous temporary file, and appended to ``fh`` in row order, in
     bounded chunks.  Every part is written by the same loop over the same
-    blocks, so the bytes are those of one part.  A child ends in
-    ``os._exit``, flushing nothing it inherited; it runs only the kernel and
-    the formatting (numpy's OpenBLAS stops its threads across a fork).
-    Every child is reaped before this returns or raises, and a child that
-    failed raises ``OSError`` naming its part.
+    blocks, so the bytes are those of one part.  A forked child starts on
+    its parent's CPU, and the scheduler may leave it there for its whole
+    part, so each child pins itself to one of the other CPUs of the mask
+    (this one from ``sched_getcpu``); where that fails it runs unpinned.  A
+    child ends in ``os._exit``, flushing nothing it inherited; it runs only
+    the kernel and the formatting (numpy's OpenBLAS stops its threads across
+    a fork).  Every child is reaped before this returns or raises, and a
+    child that failed raises ``OSError`` naming its part.
     """
     x0, x1, y0, y1 = bounds
     xs = [x0 + (x1 - x0) * ix / (nx - 1) for ix in range(nx)]
@@ -437,10 +441,17 @@ def write_density_grid_csv(params: MetricParams, bounds, nx: int, ny: int, fh,
 
     blocks = -(-ny // rows)
     affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    mask = sorted(affinity(0)) if affinity else []
+    cpus = len(mask) or os.cpu_count() or 1
     parts = max(1, min(cpus, blocks, nx * ny // CSV_PART_CELLS)) if hasattr(os, "fork") else 1
     # part k holds rows cuts[k] to cuts[k + 1] - 1
     cuts = [min(ny, rows * (blocks * k // parts)) for k in range(parts + 1)]
+    others = []  # the CPUs the children are pinned to
+    if parts > 1 and mask:
+        sched_getcpu = ctypes.CDLL(None).sched_getcpu
+        sched_getcpu.argtypes, sched_getcpu.restype = (), ctypes.c_int
+        here = sched_getcpu()
+        others = [cpu for cpu in mask if cpu != here] if here in mask else []
     fh.write("re,im,phi,density,curvature\n")
     with contextlib.ExitStack() as stack:
         children = []
@@ -451,6 +462,9 @@ def write_density_grid_csv(params: MetricParams, bounds, nx: int, ny: int, fh,
                 if pid == 0:  # the child: write part k, then exit without any cleanup
                     code = 1
                     try:
+                        if others:
+                            with contextlib.suppress(OSError):  # a hint: the CPU may be gone
+                                os.sched_setaffinity(0, {others[(k - 1) % len(others)]})
                         write_rows(cuts[k], cuts[k + 1], spill)
                         spill.flush()
                         code = 0

@@ -2,6 +2,7 @@ import io
 import math
 import os
 import random
+import types
 
 import numpy as np
 import pytest
@@ -613,6 +614,29 @@ def test_csv_parts_match_the_row_writer(monkeypatch, cpus, bounds, nx, ny):
     assert_same_lines(block_csv(mp, bounds, nx, ny), rowwise_csv(mp, bounds, nx, ny))
     assert len(forks) == cpus - 1
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("here,pinned", [
+    (1, [[0], [2]]),
+    (-1, []),  # sched_getcpu failed: nothing is pinned
+])
+def test_csv_children_are_pinned_to_the_other_cpus(monkeypatch, tmp_path, here, pinned):
+    set_cpus(monkeypatch, 3)
+    monkeypatch.setattr(metric.ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(sched_getcpu=lambda: here))
+    log, pin = tmp_path / "pinned", os.sched_setaffinity
+
+    def logged(pid, cpus):
+        # in the child: record the call, then pin (CPU 2 may not exist)
+        with open(log, "a") as fh:
+            fh.write(f"{sorted(cpus)}\n")
+        pin(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", logged)
+    mp, bounds = heart_metric(HeartParams(0.5, 0.0)), (-3.0, 3.0, -3.0, 3.0)
+    assert_same_lines(block_csv(mp, bounds, 201, 201), rowwise_csv(mp, bounds, 201, 201))
+    calls = log.read_text().splitlines() if log.exists() else []
+    assert sorted(calls) == [str(cpus) for cpus in pinned]
 
 
 @pytest.mark.parametrize("cpus,n,forks", [
