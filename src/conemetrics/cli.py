@@ -240,15 +240,19 @@ def _sample_points(mp: MetricParams, count: int, seed: int = 12345,
     Candidates are ``complex(uniform, uniform)`` draws of ``random.Random(seed)``,
     accepted in order.  Each batch draws only as many candidates as points
     are still missing, so no candidate past the last accepted one is drawn.
-    A batch maps its ``rng.random()`` draws with ``random.uniform``'s own
-    formula, ``a + (b - a) * u``, in one array expression.
+    A batch takes all its words in one ``rng.getrandbits`` call and maps each
+    pair ``(a, b)`` of 32-bit words to ``((a >> 5) 2^26 + (b >> 6)) / 2^53``,
+    as ``rng.random()`` does, then to ``a + (b - a) u`` as ``random.uniform``
+    does: the same floats, and the same state of ``rng`` after them.
     """
     rng = random.Random(seed)
     out = np.empty(0, dtype=complex)
     while out.size < count:
-        u = np.array([rng.random() for _ in range(2 * (count - out.size))])
+        n = 2 * (count - out.size)
+        words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+        u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
         draws = -box + (box - -box) * u
-        z = np.empty(u.size // 2, dtype=complex)
+        z = np.empty(n // 2, dtype=complex)
         z.real = draws[0::2]
         z.imag = draws[1::2]
         out = np.concatenate([out, z[_clear_of_marks(mp, z, clearance)]])
@@ -519,36 +523,43 @@ def cmd_plot(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+#: the commands, with their help lines
+_COMMANDS = {
+    "verify": "run the invariant suites and exit 0 only if all pass",
+    "report": "emit the geodesic decomposition report as JSON",
+    "sample": "write the phi/density/curvature grid as CSV",
+    "plot": "write an SVG with marks, level sets and traced geodesics",
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``parse_args`` returns a
-    fresh namespace on every call, so no value carries over between calls."""
+    fresh namespace on every call, so no value carries over between calls.
+
+    One parser takes the command as a positional argument and every flag on
+    either side of it: all four commands read the same flags."""
     parser = argparse.ArgumentParser(
         prog="conemetrics",
         description="Construct and verify spherical conical metrics from "
-                    "third-kind differentials")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("verify", "run the invariant suites and exit 0 only if all pass"),
-        ("report", "emit the geodesic decomposition report as JSON"),
-        ("sample", "write the phi/density/curvature grid as CSV"),
-        ("plot", "write an SVG with marks, level sets and traced geodesics"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--family", choices=("heart", "threefb"))
-        p.add_argument("--beta", type=float)
-        p.add_argument("--c", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--pbeta", type=str)
-        p.add_argument("--camp", type=float)
-        p.add_argument("--branch", choices=("plus", "minus"))
-        p.add_argument("--special", action="store_true")
-        p.add_argument("--grid", type=str, metavar="x0,x1,y0,y1,nx,ny")
-        p.add_argument("--out", type=str, metavar="DIR")
-        p.add_argument("--config", type=str, metavar="FILE")
-        p.add_argument("--palpha", type=str, help="override the solved P_alpha (diagnostic)")
-        p.add_argument("--pgamma", type=str, help="override the solved P_gamma (diagnostic)")
+                    "third-kind differentials",
+        epilog="commands:\n" + "".join(f"  {name:<8}{text}\n" for name, text in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=tuple(_COMMANDS))
+    parser.add_argument("--family", choices=("heart", "threefb"))
+    parser.add_argument("--beta", type=float)
+    parser.add_argument("--c", type=float)
+    parser.add_argument("--alpha", type=float)
+    parser.add_argument("--gamma", type=float)
+    parser.add_argument("--pbeta", type=str)
+    parser.add_argument("--camp", type=float)
+    parser.add_argument("--branch", choices=("plus", "minus"))
+    parser.add_argument("--special", action="store_true")
+    parser.add_argument("--grid", type=str, metavar="x0,x1,y0,y1,nx,ny")
+    parser.add_argument("--out", type=str, metavar="DIR")
+    parser.add_argument("--config", type=str, metavar="FILE")
+    parser.add_argument("--palpha", type=str, help="override the solved P_alpha (diagnostic)")
+    parser.add_argument("--pgamma", type=str, help="override the solved P_gamma (diagnostic)")
     return parser
 
 

@@ -19,12 +19,17 @@ layer reads; only the one-point entry points look one up by position
 Every array of points goes through one numpy kernel (``_evaluate``): the
 curvature stencil, the cone-angle contours (all of them in one call, by
 ``_cone_angle_estimates``), the CSV grid, and the scattered points of
-``verify``'s checks, and ``plot``'s level sets of log|F| = s / 2.  One of
-those checks compares the kernel with the developing route, whose array
-form (``_developing_density``) is kept apart from the kernel on purpose.
-The CSV grid is the one computation spread over CPUs: a large grid is cut
-into parts of whole kernel blocks, and each part but the first is written
-by a forked child (``write_density_grid_csv``).
+``verify``'s checks, and ``plot``'s level sets of log|F| = s / 2.  Each
+point goes through it once: the curvature stencil reads ``s`` and the
+density at its centres, which the CSV grid hands it from its own call
+(``_curvature``), and it evaluates its arms only at the few cells next to
+a marked point or with a density near underflow; elsewhere the centre
+shows that each arm is usable.  One of ``verify``'s checks compares the
+kernel with the developing route, whose array form
+(``_developing_density``) is kept apart from the kernel on purpose.  The
+CSV grid is the one computation spread over CPUs: a large grid is cut into
+parts of whole kernel blocks, and each part but the first is written by a
+forked child (``write_density_grid_csv``).
 The scalar logistic route (``density_at`` and ``phi_at`` in
 ``tests/oracles.py``) is an independent oracle of the kernel; the two agree
 to rounding, not bit for bit.  The Newton continuation of log F in
@@ -65,6 +70,15 @@ from .forms import INFINITY, POLE_GUARD, CharacterForm
 #: round K by at most 5e-7 at every step; K - 1 is then the O(h^2) truncation,
 #: at most 4.2e-5 at the worst verify cell measured, 900 times the rounding
 CURVATURE_STEP = 1e-5
+
+#: the curvature stencil evaluates its arms only at cells within this many
+#: steps h (plus ``POLE_GUARD``) of a finite marked point, or where the centre's
+#: density is below ``ARM_SCREEN_DENSITY``.  Elsewhere each distance from an arm
+#: to a pole or zero is within a factor 4/3 of the centre's, so lambda^2 changes
+#: by at most (4/3)^(2 (zeros + poles + sum |r_k|)) between them: far less than
+#: the 1e123 from ``ARM_SCREEN_DENSITY`` down to the smallest subnormal
+ARM_SCREEN_STEPS = 4
+ARM_SCREEN_DENSITY = 1e-200
 
 #: points per kernel call of :func:`write_density_grid_csv`, rounded down to whole
 #: rows: enough to spread the per-call cost, few enough that the stencil's
@@ -181,14 +195,19 @@ def _developing_density(params: MetricParams, z: np.ndarray) -> np.ndarray:
     ever differentiated, and builds ``u = |F|^2 = e^c prod_k |z - p_k|^{2 r_k}``
     as a product, not from the kernel's log-sum: it agrees with
     :func:`_evaluate` to roundoff, and the two routes share no arithmetic
-    beyond f itself.  Where u overflows the density is taken as 0.
+    beyond f itself.  Where ``(1 + u)^2`` overflows, ``4 u |f|^2`` is divided
+    by ``1 + u`` twice; where u itself overflows the density is taken as 0.
     """
     f = forms._coefficient(params.form, z)
     with np.errstate(all="ignore"):
         u = np.full(z.shape, np.exp(params.c_log))
         for p in params.form.poles:
             u *= np.abs(z - p.position) ** (2.0 * p.residue)
-        density = 4.0 * u * (f.real * f.real + f.imag * f.imag) / (1.0 + u) ** 2
+        f2 = f.real * f.real + f.imag * f.imag
+        square = (1.0 + u) ** 2
+        density = 4.0 * u * f2 / square
+        # past u = 1.3e154 the square overflows: divide by 1 + u twice instead
+        density = np.where(np.isinf(square), 4.0 * f2 * (u / (1.0 + u)) / (1.0 + u), density)
     return np.where(np.isinf(u), 0.0, density)
 
 
@@ -236,13 +255,41 @@ def curvature_field(params: MetricParams, z, h: float = CURVATURE_STEP) -> np.nd
     ``dg(+d) + dg(-d) = log1p(q expm1(a + b) - q (1 - q) expm1(a) expm1(b))``,
     ``a + b = -sigma sum_k r_k log|1 - w_k^2|^2``.  K is nan where a stencil
     point lies within ``POLE_GUARD`` of a pole or has zero density.
+
+    The kernel runs once, on the centres; the arms go through it only at
+    the cells that :func:`_curvature` cannot clear from the centre alone.
+    """
+    z = np.asarray(z, dtype=complex)
+    s, _, density = _evaluate(params, z)
+    return _curvature(params, z, s, density, h)
+
+
+def _curvature(params: MetricParams, z: np.ndarray, s: np.ndarray, density: np.ndarray,
+               h: float) -> np.ndarray:
+    """:func:`curvature_field` from the kernel's ``s`` and density at the centres ``z``.
+
+    A cell is usable where the density is positive at its centre and at its
+    four arms.  The arms are evaluated only at the cells whose centre lies
+    within ``ARM_SCREEN_STEPS * h + POLE_GUARD`` of a finite marked point,
+    or whose density is below ``ARM_SCREEN_DENSITY``.  Elsewhere every arm
+    is at least ``(ARM_SCREEN_STEPS - 1) h`` from each pole and zero, so
+    ``|f|`` and ``e^s`` change by a bounded factor between centre and arm,
+    and the arm's density stays far above underflow.
     """
     if not (1e-6 <= h <= 1e-2):
         raise ValueError(f"stencil step h={h} outside [1e-6, 1e-2]")
-    z = np.asarray(z, dtype=complex)
-    arms = np.array([h, -h, 1j * h, -1j * h]).reshape((4,) + (1,) * z.ndim)
-    s, _, density = _evaluate(params, np.concatenate([z[None], z + arms]))
-    usable = np.all(density > 0.0, axis=0)  # false at nan
+    offsets = np.array([h, -h, 1j * h, -1j * h])
+    arms = offsets.reshape((4,) + (1,) * z.ndim)
+    usable = np.array(density > 0.0)  # false at nan
+    screen = np.array(density < ARM_SCREEN_DENSITY)
+    reach = ARM_SCREEN_STEPS * h + POLE_GUARD
+    for mark in params.marked:
+        if mark.kind != "infinity":
+            screen |= np.abs(z - mark.position) < reach
+    screen &= usable
+    if screen.any():
+        _, _, arm_density = _evaluate(params, z[screen] + offsets[:, None])
+        usable[screen] = np.all(arm_density > 0.0, axis=0)
     with np.errstate(all="ignore"):
         ds = np.zeros(arms.shape[:1] + z.shape)
         pairs = np.zeros((2,) + z.shape)
@@ -252,15 +299,14 @@ def curvature_field(params: MetricParams, z, h: float = CURVATURE_STEP) -> np.nd
             # |1 + w|^2 |1 - w|^2 = |1 + v|^2 with v = -w^2, w the + arm of each axis
             v = -w[0::2] * w[0::2]
             pairs += p.residue * np.log1p(2.0 * v.real + (v.real * v.real + v.imag * v.imag))
-        centre = s[0]
-        flip = centre >= 0.0
-        t = np.exp(-np.abs(centre))
+        flip = s >= 0.0
+        t = np.exp(-np.abs(s))
         q = t / (1.0 + t)
         e = np.expm1(np.where(flip, -ds, ds))
         dg = np.log1p(q * np.expm1(np.where(flip, -pairs, pairs))
                       - q / (1.0 + t) * (e[0::2] * e[1::2]))
         lap = (dg[0] + dg[1]) / (h * h)
-        return np.where(usable, lap / density[0], np.nan)
+        return np.where(usable, lap / density, np.nan)
 
 
 def _phi_gradient_residuals(params: MetricParams, z: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -433,8 +479,8 @@ def write_density_grid_csv(params: MetricParams, bounds, nx: int, ny: int, fh,
             z = np.empty((len(ys), nx), dtype=complex)
             z.real = xs
             z.imag = np.array(ys)[:, None]
-            _, phi, den = _evaluate(params, z)
-            cur = curvature_field(params, z, h)
+            s, phi, den = _evaluate(params, z)
+            cur = _curvature(params, z, s, den, h)
             for y, p, d, k in zip(ys, phi.tolist(), den.tolist(), cur.tolist()):
                 cells = zip(repeat(f"{y:.17g}"), p, d, k)
                 out.write(row_format % tuple(chain.from_iterable(cells)))

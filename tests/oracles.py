@@ -6,12 +6,16 @@ another way, kept for the tests to compare against:
 - ``density_at`` and ``phi_at``: the logistic route, one point at a time in
   plain ``math``, against the numpy kernel ``metric._evaluate``;
 - ``special_case_poles``: the closed-form companion poles at the special
-  angles, against ``families.solve_pole_positions``.
+  angles, against ``families.solve_pole_positions``;
+- ``five_point_usable``: the kernel on every point of the curvature stencil,
+  against the arm screen of ``metric.curvature_field``.
 """
 
 import math
 
-from conemetrics import forms
+import numpy as np
+
+from conemetrics import forms, metric
 
 SQRT2 = math.sqrt(2.0)
 
@@ -52,3 +56,16 @@ def special_case_poles(p_beta: complex) -> tuple[complex, complex]:
     """
     p = complex(p_beta)
     return (1.0 - 2.0 * SQRT2) * p, (SQRT2 - 1.0) * p
+
+
+def five_point_usable(params, z, h):
+    """The curvature stencil's usable cells as first defined: the kernel on the
+    centres and all four arms in one stacked call, a cell usable where each of
+    its five densities is positive (false at nan).
+
+    Returns ``(usable, s, density)``, the last two at the centres, from the stack.
+    """
+    z = np.asarray(z, dtype=complex)
+    arms = np.array([h, -h, 1j * h, -1j * h]).reshape((4,) + (1,) * z.ndim)
+    s, _, density = metric._evaluate(params, np.concatenate([z[None], z + arms]))
+    return np.all(density > 0.0, axis=0), s[0], density[0]

@@ -71,6 +71,40 @@ def test_module_entry_point_runs_without_warnings():
     assert "verify" in done.stdout
 
 
+@pytest.mark.parametrize("command", ["verify", "report", "sample", "plot"])
+def test_each_command_has_help_that_names_every_command(capsys, command):
+    assert cli.main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: conemetrics")
+    for name in ("verify", "report", "sample", "plot"):
+        assert re.search(rf"^  {name} ", out, re.MULTILINE), (name, out)
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["--family=heart"], "the following arguments are required: command"),
+    (["check", "--family=heart"], "invalid choice: 'check'"),
+    (["verify", "report", "--family=heart"], "unrecognized arguments: report"),
+])
+def test_a_missing_or_unknown_command_exits_2(capsys, argv, message):
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("before,after", [
+    (["--family", "threefb", "report"], ["report", "--family", "threefb"]),
+    (["--grid", "-3,3,-3,3,5,5", "--c", "-2", "sample", "--family=heart"],
+     ["sample", "--family=heart", "--grid", "-3,3,-3,3,5,5", "--c", "-2"]),
+    (["--special", "--pbeta", "-0.5+0.2i", "plot", "--family=threefb"],
+     ["plot", "--family=threefb", "--special", "--pbeta=-0.5+0.2i"]),
+])
+def test_an_option_before_the_command_parses_as_after_it(before, after):
+    parser = cli._build_parser()
+    first = parser.parse_args(cli._attach_dash_values(before))
+    assert vars(first) == vars(parser.parse_args(cli._attach_dash_values(after)))
+    assert first.command == after[0]
+
+
 VERIFY_LOADING_NO_SCIPY = """
 import contextlib, io, json, sys
 from conemetrics import cli
@@ -339,8 +373,8 @@ def test_parse_complex_rejects_malformed_literals(text):
 # ---------------------------------------------------------------------------
 # the array checks of run_checks against the scalar loops they replaced
 
-def scalar_sample_points(mp, count, seed, box=3.0, clearance=0.05):
-    rng = random.Random(seed)
+def scalar_sample_points(mp, count, seed, box=3.0, clearance=0.05, rng=None):
+    rng = random.Random(seed) if rng is None else rng
     singular = [m.position for m in mp.marked if m.kind != "infinity"]
     out = []
     while len(out) < count:
@@ -464,12 +498,25 @@ def test_array_checks_match_the_scalar_loops(name):
     (7, 50, 0.05), (11, 300, 0.05), (13, 100, 0.05),
     # a clearance that rejects about a third of the candidates, so that
     # several batches are drawn
-    (11, 300, 1.0),
+    (11, 300, 1.0), (12345, 50, 0.05),
 ])
-def test_sample_points_are_the_scalar_draws(name, seed, count, clearance):
+def test_sample_points_are_the_scalar_draws(monkeypatch, name, seed, count, clearance):
     mp = verify_config(ORACLE_CONFIGS[name]).metric_params()
+    reference = random.Random(seed)
+    expected = scalar_sample_points(mp, count, seed, clearance=clearance, rng=reference)
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(cli.random, "Random", Recorded)
     got = cli._sample_points(mp, count, seed=seed, clearance=clearance)
-    assert got.tolist() == scalar_sample_points(mp, count, seed, clearance=clearance)
+    assert got.tolist() == expected
+    # the batches' getrandbits calls leave the generator where the draws did
+    assert len(made) == 1
+    assert made[0].getstate() == reference.getstate()
 
 
 def test_verify_abort_names_the_check_that_raised(capsys):
@@ -587,16 +634,18 @@ def test_verify_passes_on_a_wide_box_of_hearts(capsys):
         assert code == 0, (beta, c, out)
 
 
-@pytest.mark.parametrize("c", ["100", "-100"])
+@pytest.mark.parametrize("c", ["100", "-100", "360", "400", "600", "680"])
 @pytest.mark.parametrize("beta", ["0.15", "0.5", "0.85"])
 def test_verify_passes_on_hearts_with_a_large_c(capsys, beta, c):
     # at the vertex that develops to 0 or infinity, rho = 2 arctan e^{sigma s / 2}
     # rounds to pi for a large |s|, so sin(rho) kept no digit; the cone law reads
-    # sin(rho) = sech(s / 2) instead
+    # sin(rho) = sech(s / 2) instead.  From c = 355 the developing route's
+    # (1 + u)^2 overflows, and it divides by 1 + u twice instead
     code, out = run(capsys, "verify", "--family=heart", f"--beta={beta}", f"--c={c}")
     assert code == 0, out
     assert out.endswith("all checks passed\n"), out
-    assert re.search(r"^cone-angles: residual=\S+ tol=\S+ PASS$", out, re.MULTILINE), out
+    for check in ("cone-angles", "metric-equivalence"):
+        assert re.search(rf"^{check}: residual=\S+ tol=\S+ PASS$", out, re.MULTILINE), out
 
 
 def test_sample_in_parts_writes_the_one_part_file_and_leaves_no_child(capsys, tmp_path,

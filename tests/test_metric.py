@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from oracles import density_at, log_scale_at, phi_at
+from oracles import density_at, five_point_usable, log_scale_at, phi_at
 
 from conemetrics import forms, metric
 from conemetrics.errors import (
@@ -270,6 +270,53 @@ def test_curvature_truncation_scales_as_h_squared_where_the_density_is_tiny():
         coarse, fine = curvature(mp, z, 1e-4) - 1.0, curvature(mp, z, 1e-5) - 1.0
         assert coarse / fine == pytest.approx(100.0, rel=1e-2), (z, coarse, fine)
         assert abs(coarse) < 5e-3
+
+
+def centred_grid(centre, half, n=41):
+    """The n x n grid of half-width ``half`` centred on ``centre``."""
+    t = np.linspace(-half, half, n)
+    return complex(centre) + t[None, :] + 1j * t[:, None]
+
+
+def assert_five_point_curvature(mp, z, h):
+    # the kernel's bits at the centres do not depend on the stack around them,
+    # and the arm screen keeps every nan of the five-point test and adds none
+    usable, s, den = five_point_usable(mp, z, h)
+    expected = metric._curvature(mp, z, s, np.where(usable, den, np.nan), h)
+    kappa = curvature_field(mp, z, h)
+    assert np.array_equal(np.isnan(kappa), ~usable)
+    assert np.array_equal(kappa, expected, equal_nan=True)
+
+
+SCREEN_METRICS = [
+    heart_metric(HeartParams(0.5, 0.0)),
+    heart_metric(HeartParams(0.15, 0.4)),
+    three_football_metric(SPECIAL),
+    three_football_metric(make_three_football(AngleTriple(0.7, 0.45, 0.6), 0.4 + 0.3j,
+                                              Branch.PLUS, 1.3)),
+]
+
+
+@pytest.mark.parametrize("h", [1e-6, 1e-5, 1e-2])
+@pytest.mark.parametrize("mp", SCREEN_METRICS,
+                         ids=["heart-0.5", "heart-0.15-c0.4", "special", "generic"])
+def test_curvature_screen_keeps_the_five_point_test_at_the_marks(mp, h):
+    # half-widths of 3 h, inside the screen, and 20 h, where the grid step is h
+    # and arms land on nodes next to the mark
+    for mark in mp.marked:
+        if mark.kind != "infinity":
+            for half in (3.0 * h, 20.0 * h):
+                assert_five_point_curvature(mp, centred_grid(mark.position, half), h)
+
+
+@pytest.mark.parametrize("h", [1e-6, 1e-5, 1e-2])
+@pytest.mark.parametrize("c", [300.0, -300.0, 460.0, 700.0, -700.0, 742.0, 745.0, -745.0])
+def test_curvature_screen_keeps_the_five_point_test_where_the_density_underflows(c, h):
+    # at c = 460 the density crosses ARM_SCREEN_DENSITY inside the box, at
+    # c = +-700 it is below it everywhere, and from |c| = 742 it crosses the
+    # smallest subnormal: there an arm's density is 0 next to a positive centre
+    mp = heart_metric(HeartParams(0.5, c))
+    assert_five_point_curvature(mp, centred_grid(0.0, 3.0), h)
 
 
 def test_curvature_stencil_guard():
@@ -696,8 +743,15 @@ def test_a_failing_part_raises_after_every_child_is_reaped(monkeypatch, where, e
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("nx,ny", [(201, 201), (7, 300), (1500, 3), (2, 2)])
-def test_csv_kernel_calls_are_bounded_by_the_block(monkeypatch, nx, ny):
+@pytest.mark.parametrize("bounds,nx,ny,screened", [
+    ((-3.0, 3.0, -3.0, 3.0), 201, 201, 0),
+    ((-3.0, 3.0, -3.0, 3.0), 7, 300, 0),
+    ((-3.0, 3.0, -3.0, 3.0), 1500, 3, 0),
+    ((-3.0, 3.0, -3.0, 3.0), 2, 2, 0),
+    # every cell but the one on the pole at 1 lies within the arm screen
+    ((1.0 - 1e-5, 1.0 + 1e-5, -1e-5, 1e-5), 5, 5, 24),
+], ids=["201-201", "7-300", "1500-3", "2-2", "at-the-pole"])
+def test_csv_kernel_calls_are_bounded_by_the_block(monkeypatch, bounds, nx, ny, screened):
     # one part: a child's kernel calls are not counted here
     set_cpus(monkeypatch, 1)
     sizes = []
@@ -708,14 +762,18 @@ def test_csv_kernel_calls_are_bounded_by_the_block(monkeypatch, nx, ny):
         return kernel(params, z)
 
     monkeypatch.setattr(metric, "_evaluate", counted)
-    write_density_grid_csv(heart_metric(HeartParams(0.5, 0.0)), (-3.0, 3.0, -3.0, 3.0),
-                           nx, ny, io.StringIO())
+    write_density_grid_csv(heart_metric(HeartParams(0.5, 0.0)), bounds, nx, ny, io.StringIO())
     block = metric.CSV_BLOCK_POINTS
-    # the curvature stencil stacks a block with its 4 arms
-    assert max(sizes) <= 5 * max(block, nx)
     rows = max(1, block // nx)
-    assert len(sizes) == 2 * -(-ny // rows)
-    assert sum(sizes) == 6 * nx * ny
+    blocks = -(-ny // rows)
+    # one kernel call per block on its cells, which the curvature stencil
+    # shares; the stencil's arms go through the kernel only at screened cells
+    if screened:
+        assert sizes == [nx * ny, 4 * screened]
+    else:
+        assert len(sizes) == blocks
+        assert max(sizes) <= max(block, nx)
+        assert sum(sizes) == nx * ny
 
 
 def _scalar_rows(mp, bounds, nx, ny):

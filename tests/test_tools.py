@@ -69,6 +69,29 @@ def test_identity_sweep_samples_the_full_grids_of_grid_sample():
         cfg.flags() for cfg in (workloads.HEART_HALF, workloads.SPECIAL))
 
 
+def test_identity_sweep_samples_the_grids_of_the_arm_screen():
+    # one grid centred on each finite mark (3 of the heart, 5 of the special
+    # football), then three hearts with a large |c| on the default grid
+    sweep = load_tool("identity_sweep")
+    workloads = sweep._workloads()
+    configs = sweep.screen_grid_configs()
+    assert [name for name, _, _, _ in configs] == [f"m{i:03d}" for i in range(8)] + [
+        "u000", "u001", "u002"]
+    heart, special = workloads.HEART_HALF.flags(), workloads.SPECIAL.flags()
+    assert [flags for _, flags, _, _ in configs[:8]] == [heart] * 3 + [special] * 5
+    # the heart's zero at 0 and its poles at 1 and -1
+    centres = []
+    for _, _, _, grid in configs[:3]:
+        x0, x1, y0, y1, nx, ny = grid.split(",")
+        assert (nx, ny) == ("41", "41")
+        assert float(x1) - float(x0) == pytest.approx(2e-4)
+        centres.append(complex((float(x0) + float(x1)) / 2, (float(y0) + float(y1)) / 2))
+    assert sorted(centres, key=lambda z: z.real) == pytest.approx([-1.0, 0.0, 1.0], abs=1e-12)
+    assert [(flags, grid) for _, flags, _, grid in configs[8:]] == [
+        (workloads.Config("heart", beta=0.5, c=c).flags(), "-3,3,-3,3,61,61")
+        for c in (300.0, -300.0, 700.0)]
+
+
 def bench_run(workload, seed, side, pair, failed, attempted, value):
     metrics = {"sample.cells_per_s": {"value": value, "unit": "1/s"}}
     return {"workload": workload, "seed": seed, "side": side, "pair": pair,

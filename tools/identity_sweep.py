@@ -11,11 +11,16 @@ plus ``DECOMPOSE_SET`` (206 configurations).  It also runs ``sample`` alone
 on the 201 x 201 grid of each ``sample`` of ``build_ops("grid-sample", 1)``,
 named ``g000`` and ``g001``: a 41 x 41 grid is written in one part, so only
 these two reach the CSV writer's parts (on a machine with two or more
-CPUs).  Each tree runs them all in a fresh interpreter of its own.  Then it
-compares exit codes, stdout line by line, stderr, and the CSV and SVG
-files, and prints every difference under a key such as
-``c017/verify/stdout:traced-length`` or ``c017/plot/plot.svg``, with the
-configuration it names.  Differences whose key matches an ``--expect`` glob
+CPUs).  Two more kinds of ``sample`` reach the curvature stencil's arm
+screen: a 41 x 41 grid of half-width 1e-4 centred on each finite marked
+point of ``HEART_HALF`` and ``SPECIAL`` (``m000``, ``m001``, ...), and the
+default grid of the hearts with beta = 0.5 and c = 300, -300 and 700
+(``u000`` to ``u002``): their densities are at most 3e-128 there, and at
+c = 700 below the screen's density floor.  Each tree runs them all in a
+fresh interpreter of its own.  Then it compares exit codes, stdout line by
+line, stderr, and the CSV and SVG files, and prints every difference under
+a key such as ``c017/verify/stdout:traced-length`` or
+``c017/plot/plot.svg``, with the configuration it names.  Differences whose key matches an ``--expect`` glob
 (fnmatch) are intended; any other makes the exit status 1.  ``--keep DIR``
 keeps both output trees there.
 
@@ -51,6 +56,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 COMMANDS = ("verify", "report", "sample", "plot")
 SAMPLE_GRID = "-3,3,-3,3,41,41"
+DEFAULT_GRID = "-3,3,-3,3,61,61"
+#: half-width of the grids centred on the marked points
+MARK_HALF_WIDTH = 1e-4
+#: the c of the hearts (beta = 0.5) sampled on the default grid
+LARGE_C = (300.0, -300.0, 700.0)
 SEEDS = (1, 7919)
 
 #: runs the commands of every job in one interpreter, from the ``src`` directory
@@ -161,6 +171,26 @@ def full_grid_configs() -> list[tuple[str, list[str], str]]:
     return [(f"g{i:03d}", op.config.flags(), op.config.label) for i, op in enumerate(ops)]
 
 
+def screen_grid_configs() -> list[tuple[str, list[str], str, str]]:
+    """``(name, flags, label, grid)`` of the ``sample`` runs that reach the
+    curvature stencil's arm screen: the grids centred on each finite marked
+    point, then the hearts with a large ``|c|`` on the default grid."""
+    workloads = _workloads()
+    out = []
+    for cfg in (workloads.HEART_HALF, workloads.SPECIAL):
+        for mark in cfg.metric_params().marked:
+            if mark.kind == "infinity":
+                continue
+            z, r = mark.position, MARK_HALF_WIDTH
+            grid = f"{z.real - r!r},{z.real + r!r},{z.imag - r!r},{z.imag + r!r},41,41"
+            out.append((f"m{len(out):03d}", cfg.flags(), f"{cfg.label} at the {mark.kind} {z}",
+                        grid))
+    for i, c in enumerate(LARGE_C):
+        cfg = workloads.Config("heart", beta=0.5, c=c)
+        out.append((f"u{i:03d}", cfg.flags(), cfg.label, DEFAULT_GRID))
+    return out
+
+
 def archive(rev: str, dest: str) -> None:
     """Extract the files of ``rev`` into ``dest``."""
     done = subprocess.run(["git", "-C", ROOT, "archive", rev], capture_output=True, check=True)
@@ -236,6 +266,8 @@ def main(argv=None) -> int:
     jobs = [(*config, COMMANDS, SAMPLE_GRID)
             for config in sweep_configs() + wide_box_configs(args.wide_box)]
     jobs += [(*config, ("sample",), _workloads().FULL_GRID) for config in full_grid_configs()]
+    jobs += [(name, flags, label, ("sample",), grid)
+             for name, flags, label, grid in screen_grid_configs()]
     with tempfile.TemporaryDirectory(prefix="identity-sweep-") as tmp:
         base = args.keep or tmp
         jobs_file = os.path.join(tmp, "jobs.json")
