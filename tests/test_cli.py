@@ -634,7 +634,7 @@ def test_verify_passes_on_a_wide_box_of_hearts(capsys):
         assert code == 0, (beta, c, out)
 
 
-@pytest.mark.parametrize("c", ["100", "-100", "360", "400", "600", "680"])
+@pytest.mark.parametrize("c", ["100", "-100", "360", "400", "600", "680", "700"])
 @pytest.mark.parametrize("beta", ["0.15", "0.5", "0.85"])
 def test_verify_passes_on_hearts_with_a_large_c(capsys, beta, c):
     # at the vertex that develops to 0 or infinity, rho = 2 arctan e^{sigma s / 2}

@@ -15,14 +15,14 @@ CPUs).  Two more kinds of ``sample`` reach the curvature stencil's arm
 screen: a 41 x 41 grid of half-width 1e-4 centred on each finite marked
 point of ``HEART_HALF`` and ``SPECIAL`` (``m000``, ``m001``, ...), and the
 default grid of the hearts with beta = 0.5 and c = 300, -300 and 700
-(``u000`` to ``u002``): their densities are at most 3e-128 there, and at
-c = 700 below the screen's density floor.  Each tree runs them all in a
-fresh interpreter of its own.  Then it compares exit codes, stdout line by
-line, stderr, and the CSV and SVG files, and prints every difference under
-a key such as ``c017/verify/stdout:traced-length`` or
-``c017/plot/plot.svg``, with the configuration it names.  Differences whose key matches an ``--expect`` glob
-(fnmatch) are intended; any other makes the exit status 1.  ``--keep DIR``
-keeps both output trees there.
+(``u000`` to ``u002``), whose densities on that grid are at most 3e-128,
+and at c = 700 below the screen's density floor.  Each tree runs them all
+in a fresh interpreter of its own.  Then it compares exit codes, stdout
+line by line, stderr, and the CSV and SVG files, and prints every
+difference under a key such as ``c017/verify/stdout:traced-length`` or
+``c017/plot/plot.svg``, with the configuration it names.  Differences
+whose key matches an ``--expect`` glob (fnmatch) are intended; any other
+makes the exit status 1.  ``--keep DIR`` keeps both output trees there.
 
 ``--wide-box N`` adds N admissible three-football configurations of the
 wide box (ROADMAP item 8), drawn by ``random.Random(1)``: each angle
