@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families, forms, geodesics, metric, svg
-from .errors import ConeMetricError, StencilHitsSingularity
+from .errors import ConeMetricError, ModulusOutOfRange
 from .families import AngleTriple, Branch, HeartParams
 from .forms import INFINITY
 from .metric import MetricParams
@@ -337,8 +337,13 @@ def run_checks(cfg: RunConfig) -> list[tuple[str, float, float]]:
             kappa = metric.curvature_field(mp, cells)
             hit = np.flatnonzero(np.isnan(kappa))
             if hit.size:
-                raise StencilHitsSingularity(
-                    f"stencil at {complex(cells[hit[0]])} touched a singular point")
+                # every cell keeps 0.1 from the marks, so only a density that
+                # underflows to 0 at the centre or an arm makes K nan
+                cell = cells[hit[0]]
+                s = float(metric._evaluate(mp, cell)[0])
+                raise ModulusOutOfRange(
+                    f"the density underflows to 0 at the stencil of {complex(cell)}, "
+                    f"where s = {s:.6g}")
             worst = float(np.max(np.abs(kappa - 1.0)))
         checks.append((stage, worst, tol.curvature_tol))
 

@@ -354,6 +354,11 @@ def vertex_distance(params: MetricParams, p, z) -> np.ndarray:
 
         tan(rho / 2) = m |expm1 L| / |1 + m^2 e^L|.
 
+    Each term's real part is taken as ``0.5 log1p(2 Re x + |x|^2)`` and its
+    imaginary part as ``arctan2(Im x, 1 + Re x)``, x the term's ratio: L is
+    second order in ``z - a`` while each term is first order, so each term
+    must keep its relative digits, which numpy's complex ``log1p`` loses.
+
     Valid while z is nearer to p than every other singular point; at a zero,
     a is p as given, not the root in its record.
     """
@@ -366,13 +371,22 @@ def _vertex_distance(params: MetricParams, mark: Mark, p, z) -> np.ndarray:
     if mark.kind == "zero":
         a = complex(p)
         m = developing_modulus(params, a)
-        log_ratio = sum(q.residue * np.log1p((z - a) / (a - q.position))
-                        for q in params.form.poles)
+        log_ratio = sum(q.residue * _log1p((z - a) / (a - q.position)) for q in params.form.poles)
         # the formula above divided through by m, so that m^2 cannot overflow
         return 2.0 * np.arctan(np.abs(np.expm1(log_ratio))
                                / np.abs(1.0 / m + m * np.exp(log_ratio)))
     s, _, _ = _evaluate(params, z)
     return _distance_to_pole(s, mark.residue)
+
+
+def _log1p(x: np.ndarray) -> np.ndarray:
+    """The complex log(1 + x), its real part as ``0.5 log1p(2 Re x + |x|^2)``.
+
+    numpy's complex ``log1p`` forms the real part as ``log|1 + x|``, which
+    keeps an absolute, not a relative, error near 1e-16 for a small x.
+    """
+    return (0.5 * np.log1p(2.0 * x.real + (x.real * x.real + x.imag * x.imag))
+            + 1j * np.arctan2(x.imag, 1.0 + x.real))
 
 
 def _distance_to_pole(s: np.ndarray, residue: float) -> np.ndarray:

@@ -596,11 +596,19 @@ def test_report_refuses_a_heart_apex_beyond_the_float_range(capsys):
         "error": "|F(0)| = e^(c/2) (gamma/beta)^gamma overflows at c = 1420.0"}
 
 
-def test_verify_aborts_where_the_density_underflows(capsys):
-    # e^(c/2) ~ e^710: lambda^2 underflows to 0 on the curvature lattice
-    code, out = run(capsys, "verify", "--family=heart", "--c=1420")
+@pytest.mark.parametrize("c,cell,s", [
+    ("1420", "(-3-3j)", "1422.89"),
+    ("745", "(-3-3j)", "747.892"),
+    ("-745", "(-1-0.3999999999999999j)", "-745.204"),
+])
+def test_verify_aborts_where_the_density_underflows(capsys, c, cell, s):
+    # past |s| ~ 745, lambda^2 ~ e^-|s| underflows to 0 on the curvature
+    # lattice.  Every cell keeps 0.1 from the marks, so the abort names the
+    # density and its s, not a singular point
+    code, out = run(capsys, "verify", "--family=heart", "--beta=0.5", f"--c={c}")
     assert code == 1
-    assert out == "verification aborted: curvature: stencil at (-3-3j) touched a singular point\n"
+    assert out == ("verification aborted: curvature: the density underflows to 0 at the "
+                   f"stencil of {cell}, where s = {s}\n")
 
 
 @pytest.mark.parametrize("c,failure", [

@@ -7,12 +7,11 @@ import sys
 import numpy as np
 import pytest
 from oracles import density_at
-from scipy.integrate import solve_ivp
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from conemetrics import forms, geodesics, metric
-from conemetrics.errors import ConeMetricError, EndpointNotReached, EvalAtPole, TraceDiverged
+from conemetrics.errors import ConeMetricError, EndpointNotReached, TraceDiverged
 from conemetrics.families import (
     AngleTriple,
     Branch,
@@ -25,7 +24,6 @@ from conemetrics.families import (
 )
 from conemetrics.forms import INFINITY
 from conemetrics.geodesics import (
-    GeodesicPath,
     decomposition_report,
     l01_side,
     radial_length,
@@ -352,97 +350,6 @@ def test_correct_returns_the_nearest_pole_distance(mp):
         assert nearest == abs(cmath.exp(x_new))
 
 
-def dop853_radial_trace(params, a, b, n=400, launch_dir=None, clip_radius=None):
-    """The radial trace as the ODE dz/dtau = 1/f(z), integrated by DOP853.
-
-    The reference for the Newton continuation in ``trace_radial_preimage``:
-    same launch, same arrival, the same chord bisection of the same
-    tau-uniform grid, and the arc length as a third state,
-    d(length)/dtau = sech tau, but every decision comes from scipy's event
-    location.  Returns ``(path, dense)``, ``dense(tau)`` the rows x, y and
-    length, or raises the trace's error classes.
-    """
-    a = complex(a)
-    form = params.form
-    if b is INFINITY:
-        increasing = sum(form.residues) > 0.0
-    else:
-        b = complex(b)
-        increasing = next(p.residue for p in form.poles if abs(p.position - b) <= 1e-9) < 0.0
-    u_hat = geodesics._default_launch(params, a, b, increasing) if launch_dir is None \
-        else complex(launch_dir) / abs(complex(launch_dir))
-    z_start = a + geodesics.LAUNCH_OFFSET * u_hat
-    tau0 = math.log(developing_modulus(params, z_start))
-
-    def rhs(tau, y):
-        z = complex(y[0], y[1])
-        f, potential = 0j, 0.0
-        for p, r in zip(form.positions, form.residues):
-            if not abs(z - p) > forms.POLE_GUARD:
-                raise EvalAtPole(f"evaluation at {z} is next to a pole")
-            f += r / (z - p)
-            potential += 2.0 * r * math.log(abs(z - p))
-        v = 1.0 / f
-        t = math.exp(-abs(potential + params.c_log))
-        return [v.real, v.imag, 2.0 * math.sqrt(t) / (1.0 + t)]
-
-    def arrival(tau, y):
-        z = complex(y[0], y[1])
-        if b is INFINITY:
-            return (clip_radius if clip_radius is not None else 2.0e6) - abs(z)
-        return abs(z - b) - geodesics.ARRIVAL_RADIUS
-
-    def escaped(tau, y):
-        return 1.0 if b is INFINITY else 1.0e3 - math.hypot(y[0], y[1])
-
-    def hit_other_pole(tau, y):
-        z = complex(y[0], y[1])
-        dists = [abs(z - p) for p in form.positions if b is INFINITY or abs(p - b) > 1e-9]
-        return (min(dists) if dists else 1.0) - 1e-11
-
-    for event in (arrival, escaped, hit_other_pole):
-        event.terminal = True
-    direction = 1.0 if increasing else -1.0
-    try:
-        sol = solve_ivp(rhs, (tau0, tau0 + direction * 200.0), [z_start.real, z_start.imag, 0.0],
-                        method="DOP853", dense_output=True,
-                        events=[arrival, escaped, hit_other_pole], rtol=1e-11, atol=1e-13)
-    except EvalAtPole as exc:
-        raise TraceDiverged(f"trace stepped onto a pole: {exc}") from exc
-    if not sol.success:
-        raise TraceDiverged(f"radial trace integrator failed: {sol.message}")
-    if len(sol.t_events[1]) or len(sol.t_events[2]):
-        raise TraceDiverged("radial trace left the admissible region")
-    if not len(sol.t_events[0]):
-        raise EndpointNotReached(f"trace from {a} never reached {b}")
-
-    tau_end = sol.t_events[0][0]
-
-    def point(tau):
-        x, y, _ = sol.sol(tau)
-        return complex(x, y)
-
-    taus = np.linspace(tau0, tau_end, n + 1)
-    samples = [point(t) for t in taus]
-    bound = 4.0 * sum(abs(q - p) for p, q in zip(samples[:-1], samples[1:])) / n
-    refined = [samples[0]]
-    for ta, tb, zb in zip(taus[:-1], taus[1:], samples[1:]):
-        stack = [(ta, refined[-1], tb, zb)]
-        while stack:
-            t0, z0, t1, z1 = stack.pop()
-            if abs(z1 - z0) <= bound or abs(t1 - t0) < 1e-12:
-                refined.append(z1)
-                continue
-            tm = 0.5 * (t0 + t1)
-            stack += [(tm, point(tm), t1, z1), (t0, z0, tm, point(tm))]
-    stub_a = float(vertex_distance(params, a, z_start))
-    stub_b = 0.0 if b is INFINITY and clip_radius is not None \
-        else float(vertex_distance(params, b, refined[-1]))
-    length = stub_a + abs(float(sol.sol(tau_end)[2])) + stub_b
-    defect = 1.0 / abs(refined[-1]) if b is INFINITY else abs(refined[-1] - b)
-    return GeodesicPath(length, defect, (stub_a, stub_b), lambda: refined), sol.sol
-
-
 def log_modulus(params, z):
     """tau = log |F(z)| = c/2 + sum_k r_k log |z - p_k|."""
     return 0.5 * params.c_log + sum(r * math.log(abs(z - p))
@@ -462,79 +369,167 @@ def plot_traces(mp, starts=(0.0,)):
 
 
 def radial_cases():
+    """The traces whose samples keep arg F constant: the heart's four plot traces and
+    its verify trace, and the fixture's plot traces and full traces to infinity."""
     heart_half = heart_metric(HeartParams(0.5, 0.0))
     up = geodesics.launch_directions(heart_half, 0.0, increasing=True)
-    cases = {
-        # the four plot traces and the verify trace
+    fixture = football_metric("special-0.3+0.2i")
+    return {
         "heart-0.5": (heart_half, [(0.0, 1.0, None, None, 240), (0.0, -1.0, None, None, 240),
                                    (0.0, INFINITY, up[0], 10.0, 240),
                                    (0.0, INFINITY, up[1], 10.0, 240),
                                    (0.0, 1.0, None, None, 200)]),
+        "special-0.3+0.2i": (
+            fixture, [(a, b, u, clip, 240) for a, b, u, clip in plot_traces(fixture)]
+            + [(0.0, INFINITY, u, None, 200)
+               for u in geodesics.launch_directions(fixture, 0.0, True)]),
     }
-    for name, hp in (("heart-0.15", HeartParams(0.15, 0.0)),
-                     ("heart-0.15-c0.4", HeartParams(0.15, 0.4))):
-        mp = heart_metric(hp)
-        # the plot traces from both launches, the -1 launch among them
-        cases[name] = (mp, [(a, b, u, clip, 240) for a, b, u, clip in plot_traces(mp)]
-                       + [(0.0, 1.0, None, None, 200)])
-    fixture = football_metric("special-0.3+0.2i")
-    cases["special-0.3+0.2i"] = (
-        fixture, [(a, b, u, clip, 240) for a, b, u, clip in plot_traces(fixture)]
-        + [(0.0, INFINITY, u, None, 200) for u in geodesics.launch_directions(fixture, 0.0, True)])
-    for name in ("seeded-2", "seeded-4"):
-        mp = football_metric(name)
-        cases[name] = (mp, [(a, b, u, clip, 240) for a, b, u, clip in plot_traces(mp, (0.0, 1.0))])
-    return cases
 
 
-def traced(fn, mp, a, b, u, clip, n):
+def traced(mp, a, b, u, clip, n):
     try:
-        return "arrives", fn(mp, a, b, n=n, launch_dir=u, clip_radius=clip)
+        return "arrives", trace_radial_preimage(mp, a, b, n=n, launch_dir=u, clip_radius=clip)
     except (TraceDiverged, EndpointNotReached) as exc:
         return type(exc).__name__, None
 
 
-@pytest.mark.parametrize("name", ["heart-0.5", "heart-0.15", "heart-0.15-c0.4",
-                                  "special-0.3+0.2i", "seeded-2", "seeded-4"])
-def test_radial_trace_decisions_match_dop853(name):
-    # the continuation arrives exactly where the ODE arrives, fails with the
-    # same error class where it fails, and samples the same curve
-    mp, traces = radial_cases()[name]
-    arrived = failed = 0
-    for a, b, u, clip, n in traces:
-        new_kind, new = traced(trace_radial_preimage, mp, a, b, u, clip, n)
-        old_kind, old = traced(dop853_radial_trace, mp, a, b, u, clip, n)
-        assert new_kind == old_kind, (a, b, u)
-        if new is None:
-            failed += 1
-            continue
-        arrived += 1
-        path, dense = old
-        assert abs(new.length - path.length) <= 1e-9, (a, b, u)
-        assert abs(new.samples[-1] - path.samples[-1]) <= 1e-6, (a, b, u)
-        # relative beyond |z| = 1: rtol bounds the ODE's own error out there
-        for z in new.samples:
-            x, y, _ = dense(log_modulus(mp, z))
-            assert abs(z - complex(x, y)) <= 1e-6 * max(1.0, abs(z)), (a, b, u, z)
-    assert arrived
-    if name.startswith("seeded"):
-        assert failed
+def arg_drift(form, z):
+    """arg F(z_j) - arg F(z_0) along the points z, summed from the increments
+    sum_k r_k Arg((z_{j+1} - p_k) / (z_j - p_k))."""
+    steps = sum(r * np.angle((z[1:] - p) / (z[:-1] - p))
+                for p, r in zip(form.positions, form.residues))
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 @pytest.mark.parametrize("name", ["heart-0.5", "special-0.3+0.2i"])
 def test_radial_trace_keeps_arg_f_constant(name):
-    # along every arriving sample path, arg F summed from the increments
-    # sum_k r_k Arg((z' - p_k) / (z - p_k)) stays at its launch value
+    # along every arriving sample path, arg F stays at its launch value
     mp, traces = radial_cases()[name]
-    form = mp.form
     for a, b, u, clip, n in traces:
-        kind, path = traced(trace_radial_preimage, mp, a, b, u, clip, n)
+        kind, path = traced(mp, a, b, u, clip, n)
         if path is None:
             continue
-        z = np.array(path.samples)
-        drift = np.cumsum(sum(r * np.angle((z[1:] - p) / (z[:-1] - p))
-                              for p, r in zip(form.positions, form.residues)))
+        drift = arg_drift(mp.form, np.array(path.samples))
         assert np.max(np.abs(drift)) <= 1e-9, (a, b, u)
+
+
+# ---------------------------------------------------------------------------
+# invariants of the continuation: closed level curves around the poles, the
+# seams from the zeros, and the 0-1 arc on its great circle
+
+def level_curve_gap(mp, k, turns):
+    """``|z_end - z0| / |z0 - p|`` of the level curve ``|F| = |F(z0)|`` around the
+    pole p of index k, from ``z0 = p + 0.1 clearance``: the continuation of
+    ``Q = Q(z0) + i psi`` while psi turns through ``turns`` times ``2 pi |r_k|``."""
+    mark = mp.marked[k]
+    assert (mark.kind, mark.pole) == ("pole", k)
+    p = mark.position
+    z0 = p + 0.1 * mark.clearance
+    q0 = sum(r * cmath.log(z0 - w) for w, r in zip(mp.form.positions, mp.form.residues))
+    with pytest.raises(geodesics._Stopped) as stop:
+        geodesics._continue(mp, 1.0, z0, q0, (q0, None), lambda s, node: (q0 + 1j * s, None),
+                            None, turns * 2.0 * math.pi * abs(mark.residue), mark,
+                            geodesics.ARRIVAL_RADIUS)
+    reason, z_end = stop.value.args
+    assert reason == "span"  # it ran out of psi: it neither stalled nor reached a mark
+    return abs(z_end - z0) / abs(z0 - p)
+
+
+@pytest.mark.parametrize("name", ["heart-0.5", "special-0.3+0.2i"])
+def test_level_curves_around_each_pole_close_after_a_full_turn(name):
+    # |F| is single-valued: around p_k, F comes back multiplied by e^{2 pi i r_k}.
+    # So the level curve closes once arg F has turned through 2 pi |r_k|, and
+    # not before.  The full turns closed to at most 3.4e-15, and 0.9 of a turn
+    # left gaps of at least 0.59 (a chord of 36 degrees is 0.62)
+    mp = sampled_metric(name)[0]
+    for k in range(len(mp.form.poles)):
+        assert level_curve_gap(mp, k, 1.0) <= 1e-12, k
+        assert level_curve_gap(mp, k, 0.9) >= 0.5, k
+
+
+def seams(mp, starts):
+    """``(increasing, mark, z0, z)`` for the radial curve from each of the four
+    launch directions of each zero in ``starts``: tau = log |F| runs up or down
+    from the launch point z0 until the continuation reaches a mark, and z holds
+    201 points lifted at even steps of tau."""
+    out = []
+    for a in starts:
+        for increasing in (False, True):
+            # a sink of the direction's sign; the continuation stops at the first mark
+            sink = next(m for m in mp.marked
+                        if m.kind != "zero" and (m.residue < 0.0) == increasing)
+            direction = 1.0 if increasing else -1.0
+            for u in geodesics.launch_directions(mp, a, increasing):
+                z0 = a + geodesics.LAUNCH_OFFSET * u
+                q0 = complex(log_modulus(mp, z0), 0.0)
+                mark, nodes, arrival = geodesics._continue(
+                    mp, 1.0, z0, q0, (q0, None),
+                    lambda s, node, q0=q0, d=direction: (q0 + d * s, None),
+                    None, 200.0, sink, geodesics.ARRIVAL_RADIUS)
+                lift = geodesics._node_lift(nodes, mp.form.positions, mp.form.residues,
+                                            lambda s, k, q0=q0, d=direction: q0 + d * s)
+                out.append((increasing, mark, z0, lift(np.linspace(0.0, arrival(), 201))))
+    return out
+
+
+@pytest.mark.parametrize("name", ["special-0.3+0.2i", "special-0.5", "heart-0.15-c0.4"])
+def test_seams_from_the_zeros_reach_a_sink_of_their_sign(name):
+    # |F| grows toward a vertex where omega has a negative residue, so a seam
+    # on which |F| rises ends at one, and a falling seam at a positive residue.
+    # Along it arg F stays constant up to the rounding of each float z, which
+    # moves arg F by up to eps |z| sum_k |r_k / (z - p_k)|: at most 2.1 times
+    # that was measured.  F takes the same values on both square roots at a
+    # zero, so only the launch point tells the seam's sheet: the first lifted
+    # point lies within 1.2e-8 LAUNCH_OFFSET of it (Q is quadratic there, so z
+    # keeps about half of Q's digits), the other root 2 LAUNCH_OFFSET away
+    mp, starts = sampled_metric(name)
+    form = mp.form
+    found = seams(mp, starts)
+    assert len(found) == 4 * len(starts)
+    for increasing, mark, z0, z in found:
+        assert mark.kind != "zero" and (mark.residue < 0.0) == increasing, mark
+        assert abs(z[0] - z0) <= 1e-6 * geodesics.LAUNCH_OFFSET
+        spread = sum(abs(r) / np.abs(z - p) for p, r in zip(form.positions, form.residues))
+        bound = 16.0 * sys.float_info.epsilon * (1.0 + np.abs(z) * spread)
+        assert np.all(np.abs(arg_drift(form, z)) <= bound), mark
+        tau = np.array([log_modulus(mp, w) for w in z])
+        assert np.all(np.diff(tau) > 0.0 if increasing else np.diff(tau) < 0.0), mark
+
+
+def great_circle(w0, w1, s):
+    """The points at the fractions s of the minor great circle from w0 to w1,
+    on the sphere of the stereographic projection w -> (2w, |w|^2 - 1) / (1 + |w|^2)."""
+    def sphere(w):
+        return np.array([2.0 * w.real, 2.0 * w.imag, abs(w) ** 2 - 1.0]) / (1.0 + abs(w) ** 2)
+
+    a, b = sphere(w0), sphere(w1)
+    omega = 2.0 * math.asin(0.5 * float(np.linalg.norm(a - b)))
+    x, y, h = (np.outer(np.sin((1.0 - s) * omega), a)
+               + np.outer(np.sin(s * omega), b)).T / math.sin(omega)
+    return (x + 1j * y) / (1.0 - h)
+
+
+@pytest.mark.parametrize("name", ["special-0.3+0.2i", "special-0.5", "special-0.4+0.1i"])
+def test_the_l01_arc_develops_onto_its_great_circle(name):
+    # the lift of the realized 0-1 arc solves sigma log F(z(s)) = log w(s): its
+    # modulus matches |w(s)| and arg F, summed from the increments, matches the
+    # phase of w(s).  The arc runs from F(z0) > 0 to F(1) e^{i phi} of the
+    # lift's phase, or between their inverses (sigma = -1) when |F(z0)| > 1.
+    # Measured: 3.1e-15 relative in the modulus and 1.9e-15 in the phase
+    mp = football_metric(name)
+    _, phi, z0 = l01_side(mp)
+    phi_lift = next(c[3] for c in geodesics._l01_candidates(mp) if c[1:3] == (phi, z0))
+    mod0, mod1 = developing_modulus(mp, z0), developing_modulus(mp, 1.0)
+    arrival, lift = geodesics._arc_preimage(mp, z0, phi_lift, mod1, mp.mark_at(1.0))
+    s = np.linspace(0.0, arrival(), 201)
+    z = lift(s)
+    assert abs(z[0] - z0) <= 1e-6 * geodesics.LAUNCH_OFFSET  # the sheet, as for the seams
+    sigma = 1.0 if mod0 <= 1.0 else -1.0
+    w = great_circle(complex(mod0 ** sigma, 0.0), (mod1 * cmath.exp(1j * phi_lift)) ** sigma, s)
+    modulus = np.exp(sigma * np.array([log_modulus(mp, x) for x in z]))
+    assert np.max(np.abs(modulus / np.abs(w) - 1.0)) <= 1e-12
+    phase = np.concatenate(([0.0], np.cumsum(np.angle(w[1:] / w[:-1]))))
+    assert np.max(np.abs(sigma * arg_drift(mp.form, z) - phase)) <= 1e-13
 
 
 def looped_node_lift(nodes, positions, signed, targets):
@@ -631,7 +626,7 @@ def sampled_traces(monkeypatch, mp, starts, n):
     up = geodesics.launch_directions(mp, 0.0, increasing=True)
     out = []
     for a, b, u, clip in plot_traces(mp, starts) + [(0.0, INFINITY, v, None) for v in up]:
-        _, path = traced(trace_radial_preimage, mp, a, b, u, clip, n)
+        _, path = traced(mp, a, b, u, clip, n)
         if path is not None:
             out.append((path, *lifts[-1]))
     monkeypatch.undo()
@@ -839,93 +834,6 @@ def test_l01_agrees_with_arc_prediction(name):
         assert abs(total - l01) <= 1e-5 * l01
 
 
-def dop853_arc_preimage(params, z0, phi, mod_target, stop_center, stop_radius):
-    """The arc lift as an ODE, dz/ds = (w'/w) / (sigma f(z)), integrated by DOP853.
-
-    The reference for the Newton continuation in ``geodesics._arc_preimage``:
-    same arc, same 1/F swap, same exits, but every decision comes from
-    scipy's event location.  Returns ``(s_end, dense solution)`` or None.
-    """
-    form = params.form
-    mod_start = developing_modulus(params, z0)
-    sign = 1.0
-    if mod_start > 1.0:
-        mod_start, mod_target, phi, sign = 1.0 / mod_start, 1.0 / mod_target, -phi, -1.0
-    ax, ay, az = a = geodesics._lift_to_sphere(complex(mod_start, 0.0))
-    bx, by, bz = b = geodesics._lift_to_sphere(mod_target * cmath.exp(1j * phi))
-    omega = 2.0 * math.asin(min(1.0, 0.5 * math.dist(a, b)))
-    if omega < 1e-12 or omega > math.pi - 1e-9:
-        return None
-    sin_omega = math.sin(omega)
-
-    def log_derivative(s):
-        ca, cb = math.sin((1.0 - s) * omega), math.sin(s * omega)
-        da, db = -omega * math.cos((1.0 - s) * omega), omega * math.cos(s * omega)
-        wx = (ca * ax + cb * bx) / sin_omega
-        wy = (ca * ay + cb * by) / sin_omega
-        wz = (ca * az + cb * bz) / sin_omega
-        dx = (da * ax + db * bx) / sin_omega
-        dy = (da * ay + db * by) / sin_omega
-        dz = (da * az + db * bz) / sin_omega
-        horizontal = complex(wx, wy)
-        vertical = 1.0 - wz
-        if abs(horizontal) < 1e-14 or abs(vertical) < 1e-14:
-            raise ZeroDivisionError("arc ran over a projection pole")
-        return complex(dx, dy) / horizontal + dz / vertical
-
-    def rhs(s, y):
-        z = complex(y[0], y[1])
-        if min(abs(z - p) for p in form.positions) <= forms.POLE_GUARD:
-            raise EvalAtPole(f"evaluation at {z} is next to a pole")
-        f = sum(r / (z - p) for p, r in zip(form.positions, form.residues))
-        v = log_derivative(s) / (sign * f)
-        return [v.real, v.imag]
-
-    def reached(s, y):
-        return abs(complex(y[0], y[1]) - stop_center) - stop_radius
-
-    def escaped(s, y):
-        return 1.0e3 - math.hypot(y[0], y[1])
-
-    def near_pole(s, y):
-        return min(abs(complex(y[0], y[1]) - p) for p in form.positions) - 1e-9
-
-    for event in (reached, escaped, near_pole):
-        event.terminal = True
-    try:
-        sol = solve_ivp(rhs, (0.0, 1.0), [z0.real, z0.imag], method="DOP853",
-                        dense_output=True, events=[reached, escaped, near_pole],
-                        rtol=1e-10, atol=1e-13)
-    except (EvalAtPole, ZeroDivisionError):
-        return None
-    if not sol.success or not len(sol.t_events[0]):
-        return None
-    return float(sol.t_events[0][0]), sol.sol
-
-
-@pytest.mark.parametrize("name", ["special-0.3+0.2i", "special-0.4+0.1i", "special-0.5",
-                                  "generic-0.4+0.3i", "ill-conditioned"])
-def test_arc_lift_decisions_match_dop853(name):
-    # every path class from every launch point: the continuation realizes
-    # exactly the classes the ODE realizes, along the same curve
-    mp = football_metric(name)
-    mod1, one = developing_modulus(mp, 1.0), mp.mark_at(1.0)
-    candidates = geodesics._l01_candidates(mp)
-    assert {c[2] for c in candidates} == set(geodesics.LAUNCH_POINTS)
-    realized = 0
-    for _, _, z0, phi in candidates:
-        new = geodesics._arc_preimage(mp, z0, phi, mod1, one)
-        old = dop853_arc_preimage(mp, z0, phi, mod1, 1.0 + 0.0j, geodesics.ARC_ARRIVAL_RADIUS)
-        assert (new is None) == (old is None), (phi, z0)
-        if new is None:
-            continue
-        realized += 1
-        s = np.linspace(0.0, 0.999 * min(new[0](), old[0]), 201)
-        xo, yo = old[1](s)
-        assert np.max(np.abs(new[1](s) - (xo + 1j * yo))) <= 1e-6, (phi, z0)
-    assert realized
-
-
 @pytest.mark.parametrize("name", list(FOOTBALLS))
 def test_l01_candidates_agree_across_launch_points(name):
     # L01 and phi are taken at the vertex 0, so every launch point offers
@@ -937,6 +845,21 @@ def test_l01_candidates_agree_across_launch_points(name):
     assert first
     assert all(classes == first for classes in per_launch.values())
     assert all(abs(phi_lift - phi) < 1e-6 for _, phi, _, phi_lift in candidates)
+
+
+@pytest.mark.parametrize("name", list(FOOTBALLS))
+def test_l01_side_is_the_same_on_the_mirrored_sphere(name):
+    # z -> conj(z), z -> 1 - z and both fix {0, 1} and map the metric of the
+    # form with poles f(p_k) and the same residues and c isometrically onto
+    # this one, so L01 = d(0, 1) and |phi| cannot change.  Measured: at most
+    # 1.0e-13 relative
+    mp = football_metric(name)
+    l01, phi, _ = l01_side(mp)
+    for mirror in (np.conj, lambda p: 1.0 - p, lambda p: 1.0 - np.conj(p)):
+        form = forms.make_form([(complex(mirror(p.position)), p.residue) for p in mp.form.poles])
+        m01, mphi, _ = l01_side(MetricParams(form, mp.c_log))
+        assert m01 == pytest.approx(l01, rel=1e-12, abs=0.0)
+        assert abs(mphi) == pytest.approx(abs(phi), rel=1e-12, abs=0.0)
 
 
 def test_l01_side_lifts_from_both_sheets():

@@ -4,6 +4,7 @@ import os
 import random
 import types
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -375,6 +376,36 @@ def test_stacked_cone_contours_give_the_one_point_estimates(case):
     stacked = metric._cone_angle_estimates(mp, [(mp.mark_at(p), eps) for p, eps in contours],
                                            n=512)
     assert stacked == [cone_angle_estimate(mp, p, eps=eps, n=512) for p, eps in contours]
+
+
+def test_zero_mark_distances_keep_their_digits():
+    # at a zero a, L = sum_k r_k log1p((z - a) / (a - p_k)) is second order in
+    # z - a while each term is first order.  On the zero contours of a config
+    # with |F(a)| ~ 5.4e4, rho is 3e-14 to 7e-14; each distance matches 50-digit
+    # mpmath from the same float z, a and p_k to 2.2e-10 relative (the terms'
+    # rounding, relative to L) at every fourth node.  numpy's complex log1p
+    # gave 5.1e-7
+    tf = make_three_football(AngleTriple(1.1540720102069653, 0.5703196331778746,
+                                         0.5601789631272324),
+                             complex(-0.2547391929220373, -1.0149269795084517), Branch.MINUS,
+                             1.57006035055644)
+    mp = three_football_metric(tf)
+    zeros = [m for m in mp.marked if m.kind == "zero"]
+    assert len(zeros) == 2
+    n = 512
+    with mpmath.workdps(50):
+        for mark in zeros:
+            a = mark.position
+            eps = max(1e-5, min(1e-3, mark.clearance / 20.0))  # verify's contour
+            z = a + eps * np.exp(2j * math.pi / n * np.arange(n))
+            rho = metric._vertex_distance(mp, mark, a, z)
+            m = mpmath.exp(mpmath.mpf(mp.c_log) / 2) * mpmath.fprod(
+                abs(mpmath.mpc(a) - p.position) ** p.residue for p in mp.form.poles)
+            for zi, got in zip(z[::4], rho[::4]):
+                L = mpmath.fsum(p.residue * mpmath.log1p((mpmath.mpc(zi) - a) / (a - p.position))
+                                for p in mp.form.poles)
+                exact = 2 * mpmath.atan(m * abs(mpmath.expm1(L)) / abs(1 + m * m * mpmath.exp(L)))
+                assert abs(got - exact) <= 1e-9 * exact, (a, zi)
 
 
 def _football_marks(angles, clearances):

@@ -46,6 +46,15 @@ def test_bench_pairs_parses_its_arguments():
             pairs.parse_args(bad)
 
 
+def test_every_mutant_anchor_occurs_once_in_the_source():
+    # a refactor that moves an anchor must move the mutant with it
+    mutants = load_tool("mutants")
+    assert mutants.anchor_problems(ROOT) == []
+    args = mutants.parse_args(["--root", "parent", "--", "-k", "seam"])
+    assert (args.root, args.pytest_args) == ("parent", ["-k", "seam"])
+    assert mutants.parse_args([]).pytest_args == ["tests/test_geodesics.py"]
+
+
 def test_identity_sweep_draws_a_seeded_wide_box():
     sweep = load_tool("identity_sweep")
     assert sweep.parse_args(["--parent", "HEAD~1"]).wide_box == 0
